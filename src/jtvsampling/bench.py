@@ -31,19 +31,20 @@ class BenchRow:
         return self.time_factored / self.time_naive
 
 
-def _best_of(fn, repeats):
-    best = math.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _elapsed(fn):
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
 
 
 def benchmark_case(ut_r: np.ndarray, ug_r: np.ndarray, uj: np.ndarray,
                    support: SpectralSupport, repeats: int = 3) -> BenchRow:
     """Time the factored construction against a full-row naive selection on
-    one prepared instance. Basis construction is not timed."""
+    one prepared instance. Basis construction is not timed.
+
+    The two calls alternate for ``repeats`` rounds and each keeps its best
+    time, so a slow spell on the machine hits both sides alike.
+    """
 
     def factored():
         critical_sampling_set(ut_r, ug_r, uj, support)
@@ -51,8 +52,10 @@ def benchmark_case(ut_r: np.ndarray, ug_r: np.ndarray, uj: np.ndarray,
     def naive():
         max_lin_indep_rows(uj)
 
-    t_fac = _best_of(factored, repeats)
-    t_naive = _best_of(naive, repeats)
+    t_fac = t_naive = math.inf
+    for _ in range(repeats):
+        t_fac = min(t_fac, _elapsed(factored))
+        t_naive = min(t_naive, _elapsed(naive))
     plan, _ = critical_sampling_set(ut_r, ug_r, uj, support)
     return BenchRow(
         t_dim=support.t_dim,

@@ -37,6 +37,14 @@ def _parse_pairs(text):
     return frozenset(pairs)
 
 
+def _load_bases(args):
+    """Time and graph eigenbases of the ``--graph-t`` / ``--graph-g`` files."""
+    return tuple(
+        spectral.eig_sym(graphs.laplacian(fileio.load_graph(path)))
+        for path in (args.graph_t, args.graph_g)
+    )
+
+
 def _load_pipeline(args, support):
     """Restricted bases and joint basis columns, either computed from the two
     graphs or injected from a basis file."""
@@ -55,9 +63,7 @@ def _load_pipeline(args, support):
     else:
         if not getattr(args, "graph_t", None) or not getattr(args, "graph_g", None):
             raise ValueError("need --graph-t and --graph-g, or --basis-file")
-        basis_t = spectral.eig_sym(graphs.laplacian(fileio.load_graph(args.graph_t)))
-        basis_g = spectral.eig_sym(graphs.laplacian(fileio.load_graph(args.graph_g)))
-        ut_r, ug_r = bandlimit.restrict_bases(basis_t, basis_g, support)
+        ut_r, ug_r = bandlimit.restrict_bases(*_load_bases(args), support)
     uj = spectral.joint_columns_from_restricted(ut_r, ug_r, support)
     return ut_r, ug_r, uj
 
@@ -111,9 +117,7 @@ def cmd_gen_signal(args):
 
 def cmd_analyze(args):
     x_mat = fileio.load_signal(args.signal)
-    basis_t = spectral.eig_sym(graphs.laplacian(fileio.load_graph(args.graph_t)))
-    basis_g = spectral.eig_sym(graphs.laplacian(fileio.load_graph(args.graph_g)))
-    xf = spectral.jft(basis_t, basis_g, x_mat)
+    xf = spectral.jft(*_load_bases(args), x_mat)
     support = bandlimit.detect_support(xf, eps=args.eps)
     print(
         f"K={support.k} K_T={support.k_t} K_G={support.k_g} "

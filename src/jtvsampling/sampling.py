@@ -167,6 +167,20 @@ def _spread_orders(product, sel_t, sel_g, n_shuffles=200, seed=0):
         yield rng.permutation(n).tolist()
 
 
+def _factor_rows(ut_r: np.ndarray, ug_r: np.ndarray):
+    """Step 1: independent time slots and vertices, one per column of each
+    restricted basis; raises :class:`RankDeficiencyError` if either falls short."""
+    picks = []
+    for name, mat in (("time", ut_r), ("graph", ug_r)):
+        sel = max_lin_indep_rows(mat)
+        if len(sel) != mat.shape[1]:
+            raise RankDeficiencyError(
+                f"step 1: {name} basis has rank {len(sel)} < {mat.shape[1]}"
+            )
+        picks.append(sel)
+    return picks
+
+
 def critical_sampling_set(ut_r: np.ndarray, ug_r: np.ndarray, uj: np.ndarray,
                           support: SpectralSupport):
     """Construct a critical sampling plan from the restricted bases.
@@ -195,17 +209,7 @@ def critical_sampling_set(ut_r: np.ndarray, ug_r: np.ndarray, uj: np.ndarray,
     if uj.shape != (t_dim * g_dim, support.k):
         raise ValueError(f"joint basis shape {uj.shape} does not match support")
 
-    sel_t = max_lin_indep_rows(ut_r)
-    if len(sel_t) != support.k_t:
-        raise RankDeficiencyError(
-            f"step 1: time basis has rank {len(sel_t)} < {support.k_t}"
-        )
-    sel_g = max_lin_indep_rows(ug_r)
-    if len(sel_g) != support.k_g:
-        raise RankDeficiencyError(
-            f"step 1: graph basis has rank {len(sel_g)} < {support.k_g}"
-        )
-
+    sel_t, sel_g = _factor_rows(ut_r, ug_r)
     product = [(t, v) for t in sel_t for v in sel_g]
     rows = uj[[t * g_dim + v for t, v in product]]
     picked = max_lin_indep_rows(rows)
@@ -259,16 +263,7 @@ def separate_sampling(ut_r: np.ndarray, ug_r: np.ndarray) -> SamplingPlan:
     """
     ut_r = np.asarray(ut_r, dtype=float)
     ug_r = np.asarray(ug_r, dtype=float)
-    sel_t = max_lin_indep_rows(ut_r)
-    if len(sel_t) != ut_r.shape[1]:
-        raise RankDeficiencyError(
-            f"time basis has rank {len(sel_t)} < {ut_r.shape[1]}"
-        )
-    sel_g = max_lin_indep_rows(ug_r)
-    if len(sel_g) != ug_r.shape[1]:
-        raise RankDeficiencyError(
-            f"graph basis has rank {len(sel_g)} < {ug_r.shape[1]}"
-        )
+    sel_t, sel_g = _factor_rows(ut_r, ug_r)
     samples = frozenset((t, v) for t in sel_t for v in sel_g)
     return SamplingPlan(t_dim=ut_r.shape[0], g_dim=ug_r.shape[0], samples=samples)
 
@@ -288,8 +283,10 @@ def reconstruct_coefficients(values: np.ndarray, plan: SamplingPlan,
                              uj: np.ndarray, support: SpectralSupport) -> np.ndarray:
     """Spectral coefficients recovered from sampled values.
 
-    Square solve when the plan is critical-sized, least squares via normal
-    equations otherwise. Refuses unqualified plans and near-singular systems.
+    One thin SVD of the sampled block gives its rank (``matrix_rank``'s
+    default tolerance), its condition number and the least-squares solution,
+    which is exact for critical-sized plans. Refuses unqualified plans and
+    near-singular systems.
     """
     values = np.asarray(values, dtype=float)
     uj = np.asarray(uj, dtype=float)
@@ -299,19 +296,18 @@ def reconstruct_coefficients(values: np.ndarray, plan: SamplingPlan,
             f"values for a plan of size {plan.size}"
         )
     sub = uj[plan.linear_indices()]
-    rank = int(np.linalg.matrix_rank(sub))
+    u, s, vt = np.linalg.svd(sub, full_matrices=False)
+    rank = int(np.count_nonzero(s > s[0] * max(sub.shape) * np.finfo(float).eps))
     if rank < support.k:
         raise UnqualifiedPlanError(
             f"plan is not qualified: rank {rank} < bandwidth {support.k}"
         )
-    cond = np.linalg.cond(sub)
+    cond = s[0] / s[-1]
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise IllConditionedError(
             f"sampled system condition estimate {cond:.3e} exceeds {COND_LIMIT:.0e}"
         )
-    if plan.size == support.k:
-        return np.linalg.solve(sub, values)
-    return np.linalg.solve(sub.T @ sub, sub.T @ values)
+    return vt.T @ ((u.T @ values) / s)
 
 
 def reconstruct(values: np.ndarray, plan: SamplingPlan, uj: np.ndarray,

@@ -143,6 +143,8 @@ class TestCriticalSamplingSet:
         uj = joint_columns_from_restricted(ref.ut_r, ref.ug_r, ref.support)
         with pytest.raises(RankDeficiencyError, match="step 1"):
             critical_sampling_set(np.zeros_like(ref.ut_r), ref.ug_r, uj, ref.support)
+        with pytest.raises(RankDeficiencyError, match="step 1"):
+            separate_sampling(ref.ut_r, np.zeros_like(ref.ug_r))
 
     def test_shape_mismatch(self, ref):
         uj = joint_columns_from_restricted(ref.ut_r, ref.ug_r, ref.support)
@@ -259,6 +261,21 @@ class TestReconstruct:
         plan = SamplingPlan(2, 2, frozenset({(0, 0), (0, 1)}))
         with pytest.raises((IllConditionedError, UnqualifiedPlanError)):
             reconstruct_coefficients(np.array([1.0, 0.0]), plan, uj, support)
+
+    def test_overdetermined_solve_keeps_accuracy(self):
+        # cond 1e7 is accepted, so the error may reach cond * eps ~ 2e-9;
+        # squaring cond (normal equations) would lose about 14 of 16 digits
+        rng = np.random.default_rng(12)
+        support = SpectralSupport(t_dim=2, g_dim=3, pairs=frozenset({(0, 0), (1, 1)}))
+        plan = SamplingPlan(2, 3, frozenset({(0, 0), (0, 1), (1, 0), (1, 2)}))
+        left, _ = np.linalg.qr(rng.normal(size=(4, 2)))
+        right, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+        uj = rng.normal(size=(6, 2))
+        uj[plan.linear_indices()] = left @ np.diag([1.0, 1e-7]) @ right.T
+        coeffs = np.array([0.6, -0.8])
+        values = uj[plan.linear_indices()] @ coeffs
+        got = reconstruct_coefficients(values, plan, uj, support)
+        assert np.linalg.norm(got - coeffs) / np.linalg.norm(coeffs) < 1e-8
 
     def test_value_count_mismatch(self, ref):
         uj = joint_columns_from_restricted(ref.ut_r, ref.ug_r, ref.support)
