@@ -213,7 +213,9 @@ def cmd_verify(args):
             uj, args.trials, rng=np.random.default_rng(_default_seed())
         )
         out["monotone"] = mono
-        if ex.violations or ex.min_qualified_size != support.k or not mono:
+        # no subset below K reaches rank K: the minimum is checked once enumerated
+        wrong_min = max_size >= support.k and ex.min_qualified_size != support.k
+        if ex.violations or wrong_min or not mono:
             code = EXIT_THEORY
     text = json.dumps(out, sort_keys=True, indent=2)
     if args.out:

@@ -198,22 +198,42 @@ class TestVerify:
         assert data["exhaustive"]["exists_critical_set"] is True
         assert data["monotone"] is True
 
-    def test_exhaustive_sparse_support_not_a_violation(self, tmp_path):
-        # Two samples in one time slot qualify for pairs (0,0), (1,2): fewer
-        # than K_T = 2 slots, but not below the projection floors, which are 1.
+    @staticmethod
+    def sparse_instance(tmp_path):
+        """3-cycle x 3-path files with the support pairs (0,0), (1,2)."""
         gt, gg = tmp_path / "gt.json", tmp_path / "gg.json"
-        sup, out = tmp_path / "support.json", tmp_path / "report.json"
+        sup = tmp_path / "support.json"
         assert run("gen", "graph", "--type", "cycle", "--n", 3, "-o", gt) == 0
         assert run("gen", "graph", "--type", "path", "--n", 3, "-o", gg) == 0
         assert run("gen", "support", "--t", 3, "--n", 3, "--pairs", "0,0;1,2",
                    "-o", sup) == 0
-        code = run("verify", "--graph-t", gt, "--graph-g", gg, "--support", sup,
-                   "--exhaustive", "-o", out)
+        return ["--graph-t", gt, "--graph-g", gg, "--support", sup]
+
+    def test_exhaustive_sparse_support_not_a_violation(self, tmp_path):
+        # Two samples in one time slot qualify for pairs (0,0), (1,2): fewer
+        # than K_T = 2 slots, but not below the projection floors, which are 1.
+        out = tmp_path / "report.json"
+        code = run("verify", *self.sparse_instance(tmp_path), "--exhaustive", "-o", out)
         assert code == 0
         ex = json.loads(out.read_text())["exhaustive"]
         assert ex["violations"] == []
         assert (ex["floor_t"], ex["floor_g"]) == (1, 1)
         assert ex["min_proj_t"] == 1
+
+    def test_exhaustive_below_k_is_not_a_violation(self, tmp_path):
+        # subsets of one sample cannot reach rank K = 2, so no minimum is found
+        out = tmp_path / "report.json"
+        code = run("verify", *self.sparse_instance(tmp_path), "--exhaustive",
+                   "--max-size", 1, "-o", out)
+        assert code == 0
+        ex = json.loads(out.read_text())["exhaustive"]
+        assert ex["min_qualified_size"] is None
+        assert ex["violations"] == []
+
+    @pytest.mark.parametrize("option", [("--max-size", 0), ("--trials", -5)])
+    def test_exhaustive_rejects_empty_checks(self, tmp_path, option):
+        code = run("verify", *self.sparse_instance(tmp_path), "--exhaustive", *option)
+        assert code == 2
 
 
 class TestBench:

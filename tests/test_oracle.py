@@ -1,9 +1,11 @@
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from jtvsampling import (
+    ExhaustiveReport,
     SpectralSupport,
     check_monotonicity,
     critical_sampling_set,
@@ -17,6 +19,7 @@ from jtvsampling import (
     restrict_bases,
 )
 from jtvsampling.generate import random_connected_graph, random_support
+from jtvsampling import oracle
 from jtvsampling.oracle import elimination_rank, subset_rank
 
 
@@ -34,6 +37,80 @@ class TestEliminationRank:
     def test_empty(self):
         assert elimination_rank(np.zeros((0, 3))) == 0
         assert subset_rank(np.eye(3), []) == 0
+
+    @staticmethod
+    def assert_stack_matches(stack):
+        ranks = elimination_rank(stack)
+        assert ranks.shape == stack.shape[:-2]
+        flat = stack.reshape(-1, *stack.shape[-2:])
+        assert ranks.ravel().tolist() == [elimination_rank(m) for m in flat]
+        return ranks
+
+    def test_returns_int_for_matrix_and_array_for_stack(self):
+        assert type(elimination_rank(np.eye(3))) is int
+        ranks = elimination_rank(np.ones((2, 3, 4, 5)))
+        assert ranks.shape == (2, 3)
+        assert ranks.dtype.kind == "i"
+        assert (ranks == 1).all()
+
+    def test_stack_random_rank_deficient(self):
+        # every matrix reaches its own rank with its own scale, pivots and
+        # running rank, whatever the ranks of its neighbours in the stack
+        rng = np.random.default_rng(40)
+        for rows, cols in [(5, 5), (6, 4), (3, 7), (20, 5)]:
+            mats = []
+            for _ in range(60):
+                r = int(rng.integers(0, min(rows, cols) + 1))
+                m = rng.normal(size=(rows, r)) @ rng.normal(size=(r, cols))
+                # zero columns make each matrix skip its own pivot columns
+                m[:, rng.random(cols) < 0.3] = 0.0
+                mats.append(m * 10.0 ** rng.integers(-6, 7))
+            ranks = self.assert_stack_matches(np.array(mats))
+            assert ranks.tolist() == [np.linalg.matrix_rank(m) for m in mats]
+            assert len(set(ranks.tolist())) > 1
+
+    def test_stack_with_zero_matrix(self):
+        rng = np.random.default_rng(41)
+        stack = rng.normal(size=(5, 4, 4))
+        stack[2] = 0.0
+        ranks = self.assert_stack_matches(stack)
+        assert ranks.tolist() == [4, 4, 0, 4, 4]
+
+    def test_stack_of_zero_row_matrices(self):
+        ranks = elimination_rank(np.zeros((3, 0, 5)))
+        assert ranks.tolist() == [0, 0, 0]
+        assert elimination_rank(np.zeros((0, 4, 5))).shape == (0,)
+
+    def test_entries_at_the_pivot_tolerance(self):
+        # the second pivot sits just above or just below tol * scale, where the
+        # scale is each matrix's own max |a|; a scale shared across the stack
+        # (1e6 here) would drop the 1.5e-10 pivot of the unit-scale matrices
+        tol = 1e-10
+        mats = []
+        for scale in (1.0, 1e6, 1e-3):
+            for ratio in (1.5, 0.5):
+                m = np.array([[1.0, 0.3, 0.0], [0.0, ratio * tol, 0.0]]) * scale
+                mats.append(m)
+        stack = np.array(mats)
+        ranks = self.assert_stack_matches(stack)
+        assert ranks.tolist() == [2, 1] * 3
+        # a pivot below tolerance in one column does not block a later column
+        m = np.array([[1.0, 0.0, 0.0], [0.0, 0.5 * tol, 1.0]])
+        assert self.assert_stack_matches(np.array([m, stack[1]])).tolist() == [2, 1]
+
+    def test_zero_row_padding_keeps_rank(self):
+        rng = np.random.default_rng(42)
+        mats = []
+        for rows in (1, 2, 3, 4, 5, 5):
+            r = int(rng.integers(0, min(rows, 4) + 1))
+            mats.append(rng.normal(size=(rows, r)) @ rng.normal(size=(r, 4)))
+        mats.append(np.array([[1.0, 0.3, 0.0, 0.0], [0.0, 1.5e-10, 0.0, 0.0]]))
+        mats.append(np.array([[1.0, 0.3, 0.0, 0.0], [0.0, 0.5e-10, 0.0, 0.0]]))
+        padded = np.zeros((len(mats), 9, 4))
+        for i, m in enumerate(mats):
+            padded[i, : len(m)] = m
+        ranks = self.assert_stack_matches(padded)
+        assert ranks.tolist() == [elimination_rank(m) for m in mats]
 
 
 class TestExhaustiveCheck:
@@ -135,6 +212,84 @@ class TestExhaustiveCheck:
         with pytest.raises(ValueError, match="size"):
             exhaustive_check(uj, ref.support, max_size=ref.support.k + 2)
 
+    @pytest.mark.parametrize("max_size", [0, -1])
+    def test_max_size_below_one_rejected(self, ref, max_size):
+        uj = joint_columns_from_restricted(ref.ut_r, ref.ug_r, ref.support)
+        with pytest.raises(ValueError, match="at least 1"):
+            exhaustive_check(uj, ref.support, max_size=max_size)
+
+    def test_matches_per_subset_reference(self, monkeypatch):
+        # The report rebuilt by a plain loop over every subset, one 2-D
+        # elimination each, must equal the blocked enumeration field by field,
+        # whatever the number of subsets ranked per call.
+        rng = np.random.default_rng(90)
+        bt = eig_sym(laplacian(cycle_graph(3)))
+        for support in [
+            random_support(3, 4, rng, k_t=2, k_g=2, k=4),
+            random_support(3, 4, rng, k_t=2, k_g=3, k=4),
+            SpectralSupport(t_dim=3, g_dim=4, pairs=frozenset({(0, 0), (1, 3)})),
+        ]:
+            bg = eig_sym(laplacian(random_connected_graph(4, rng)))
+            uj = joint_basis_columns(bt, bg, support)
+            expected = self.reference_reports(uj, support)
+            assert expected[support.k - 1].count_qualified_at_k > 0
+            for block in (5, oracle.BLOCK):
+                monkeypatch.setattr(oracle, "BLOCK", block)
+                for max_size in range(1, support.k + 2):
+                    report = exhaustive_check(uj, support, max_size=max_size)
+                    assert report == expected[max_size - 1]
+
+    def test_reference_counts_violations_in_order(self):
+        # the floors are necessary, so flagged sets only show up when the
+        # floors are raised past what the basis needs; both sides must then
+        # list the same subsets, in the same order, as tuples of int
+        rng = np.random.default_rng(91)
+        bt = eig_sym(laplacian(cycle_graph(3)))
+        bg = eig_sym(laplacian(random_connected_graph(4, rng)))
+        support = random_support(3, 4, rng, k_t=2, k_g=2, k=3)
+        uj = joint_basis_columns(bt, bg, support)
+        fields = ("t_dim", "g_dim", "k", "k_t", "k_g")
+        raised = SimpleNamespace(floor_t=3, floor_g=3,
+                                 **{f: getattr(support, f) for f in fields})
+        expected = self.reference_reports(uj, raised)[-1]
+        report = exhaustive_check(uj, raised, max_size=raised.k + 1)
+        assert len(expected.violations) > 200
+        assert report == expected
+        assert all(type(i) is int for s in report.violations for i in s)
+
+    @staticmethod
+    def reference_reports(uj, support):
+        """Reports for max_size = 1 .. K + 1, one subset at a time."""
+        k = support.k
+        min_qualified, count_at_k, violations = None, 0, []
+        exists_critical = False
+        proj_t, proj_g = [], []
+        reports = []
+        for size in range(1, k + 2):
+            for subset in combinations(range(uj.shape[0]), size):
+                if elimination_rank(uj[list(subset)]) != k:
+                    continue
+                n_t = len({i // support.g_dim for i in subset})
+                n_g = len({i % support.g_dim for i in subset})
+                if min_qualified is None:
+                    min_qualified = size
+                if size < k or n_t < support.floor_t or n_g < support.floor_g:
+                    violations.append(subset)
+                if size == k:
+                    count_at_k += 1
+                    proj_t.append(n_t)
+                    proj_g.append(n_g)
+                    exists_critical |= (n_t, n_g) == (support.k_t, support.k_g)
+            reports.append(ExhaustiveReport(
+                min_qualified_size=min_qualified,
+                count_qualified_at_k=count_at_k,
+                violations=tuple(violations),
+                exists_critical_set=exists_critical,
+                min_proj_t=min(proj_t, default=None),
+                min_proj_g=min(proj_g, default=None),
+            ))
+        return reports
+
 
 class TestMonotonicity:
     def test_reference_instance(self, ref):
@@ -149,3 +304,38 @@ class TestMonotonicity:
     def test_empty_subset_rank_zero(self, ref):
         uj = joint_columns_from_restricted(ref.ut_r, ref.ug_r, ref.support)
         assert subset_rank(uj, []) == 0
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_trials_below_one_rejected(self, ref, trials):
+        uj = joint_columns_from_restricted(ref.ut_r, ref.ug_r, ref.support)
+        with pytest.raises(ValueError, match="at least 1 trial"):
+            check_monotonicity(uj, trials)
+
+    def test_compares_each_trial_pair(self, monkeypatch):
+        # true ranks never drop, so a drop is planted in the rank function:
+        # one trial whose small set outranks its big set must fail the check
+        def planted(stack):
+            ranks = np.zeros(stack.shape[:-2], dtype=int)
+            ranks[0, -1] = 1
+            return ranks
+
+        uj = np.eye(4)
+        assert check_monotonicity(uj, 300, rng=np.random.default_rng(5))
+        monkeypatch.setattr(oracle, "elimination_rank", planted)
+        assert not check_monotonicity(uj, 300, rng=np.random.default_rng(5))
+
+    def test_padded_ranks_match_subset_rank(self):
+        # the stacked check ranks sorted, zero-padded subsets; each must have
+        # the rank subset_rank gives the same subset on its own
+        rng = np.random.default_rng(6)
+        bt = eig_sym(laplacian(cycle_graph(4)))
+        bg = eig_sym(laplacian(random_connected_graph(5, rng)))
+        support = random_support(4, 5, rng, k_t=2, k_g=3, k=5)
+        uj = joint_basis_columns(bt, bg, support)
+        nt = uj.shape[0]
+        subsets = [rng.choice(nt, size=int(rng.integers(0, nt + 1)), replace=False)
+                   for _ in range(300)]
+        padded = np.zeros((len(subsets), nt, uj.shape[1]))
+        for i, s in enumerate(subsets):
+            padded[i, : len(s)] = uj[np.sort(s)]
+        assert elimination_rank(padded).tolist() == [subset_rank(uj, s) for s in subsets]
