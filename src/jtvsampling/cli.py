@@ -177,7 +177,8 @@ def cmd_reconstruct(args):
         err = float(np.max(np.abs(x_rec - x_ref)))
         scale = float(np.linalg.norm(x_ref))
         print(f"max-abs-error {err:.3e}")
-        if err >= 1e-6 * scale:
+        # written so that a NaN error fails too
+        if not err < 1e-6 * scale:
             print("reconstruction error above tolerance", file=sys.stderr)
             return EXIT_THEORY
     return EXIT_OK

@@ -123,7 +123,10 @@ def load_samples(path):
             values.append(float(parts[2]))
     if not points:
         raise ValueError(f"samples file {path} is empty")
-    return points, np.array(values)
+    values = np.array(values)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"samples file {path} contains non-finite values")
+    return points, values
 
 
 def save_basis_pair(ut_r: np.ndarray, ug_r: np.ndarray, path):

@@ -4,6 +4,7 @@ Joint vertices (t, v) map to linear index t * N + v, i.e. the column-major
 vectorization of an N x T signal matrix.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,8 @@ class Graph:
                 raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
             if i == j:
                 raise ValueError(f"self-loop at vertex {i} not allowed")
+            if not math.isfinite(w):
+                raise ValueError(f"edge ({i}, {j}) has non-finite weight {w}")
             if w <= 0:
                 raise ValueError(f"edge ({i}, {j}) has non-positive weight {w}")
             key = (min(i, j), max(i, j))

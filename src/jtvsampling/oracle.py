@@ -61,7 +61,8 @@ def elimination_rank(mat: np.ndarray, tol: float = 1e-10):
             pivot = np.where(ok, pivot_row[:, col], 1.0)
             factors = a[:, :, col] / pivot[:, None]
             factors[(row_ids <= rank[:, None]) | ~ok[:, None]] = 0.0
-            a -= factors[:, :, None] * pivot_row[:, None, :]
+            # only the columns right of the pivot are read by a later step
+            a[:, :, col + 1:] -= factors[:, :, None] * pivot_row[:, None, col + 1:]
             rank += ok
     if not lead:
         return int(rank[0])
@@ -97,9 +98,12 @@ def exhaustive_check(uj: np.ndarray, support: SpectralSupport,
 
     Records the minimum subset size reaching full rank, counts qualified
     subsets of size K, collects any qualified subset that undercuts the
-    necessary bounds |S| >= K, |S_T| >= ``support.floor_t`` or
+    necessary bounds |S_T| >= ``support.floor_t`` or
     |S_G| >= ``support.floor_g`` (expected none), and whether a size-K
-    qualified subset is critical. ``min_proj_t`` / ``min_proj_g`` are the
+    qualified subset is critical. Subsets smaller than K are not ranked:
+    elimination never ranks a matrix above its row count, so none of them can
+    qualify, the bound |S| >= K holds by construction, and ``max_size < K``
+    enumerates nothing. ``min_proj_t`` / ``min_proj_g`` are the
     fewest time slots / vertices touched by any qualified K-set; they may lie
     below K_T / K_G when the support is sparser than its K_T x K_G rectangle,
     and above the floors, which are necessary but not always reached.
@@ -130,7 +134,7 @@ def exhaustive_check(uj: np.ndarray, support: SpectralSupport,
     violations = []
     exists_critical = False
     min_proj_t = min_proj_g = None
-    for size in range(1, max_size + 1):
+    for size in range(k, max_size + 1):
         combos = combinations(_INDICES[:nt], size)
         while True:
             flat = np.fromiter(chain.from_iterable(islice(combos, BLOCK)), dtype=np.intp)
@@ -144,7 +148,7 @@ def exhaustive_check(uj: np.ndarray, support: SpectralSupport,
             n_g = _distinct_per_row(subsets % support.g_dim, support.g_dim)
             if min_qualified is None:
                 min_qualified = size
-            bad = (size < k) | (n_t < floor_t) | (n_g < floor_g)
+            bad = (n_t < floor_t) | (n_g < floor_g)
             violations.extend(tuple(s) for s in subsets[bad].tolist())
             if size == k:
                 count_at_k += len(subsets)

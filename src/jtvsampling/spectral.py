@@ -32,7 +32,11 @@ def eig_sym(mat: np.ndarray) -> EigenBasis:
     n = a.shape[0]
     if a.ndim != 2 or a.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.allclose(a, a.T, atol=1e-10):
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
+    # np.allclose(a, a.T, atol=1e-10) written out: the same test without its
+    # per-call overhead, which dominates on the small matrices set-ups decompose
+    if not (np.abs(a - a.T) <= 1e-10 + 1e-5 * np.abs(a.T)).all():
         raise ValueError("matrix is not symmetric")
     lam, v = np.linalg.eigh((a + a.T) / 2.0)
     v *= np.sign(v[np.argmax(np.abs(v), axis=0), np.arange(n)])
@@ -105,11 +109,12 @@ def joint_columns_from_restricted(ut_r: np.ndarray, ug_r: np.ndarray, support) -
     gpos = {f: i for i, f in enumerate(support.graph_freqs)}
     if ut_r.shape[1] != len(tpos) or ug_r.shape[1] != len(gpos):
         raise ValueError("restricted bases do not match the support's bandwidths")
-    cols = [
-        np.kron(ut_r[:, tpos[jt]], ug_r[:, gpos[jg]])
-        for jt, jg in support.sorted_pairs
-    ]
-    return np.column_stack(cols)
+    pairs = support.sorted_pairs
+    ti = [tpos[jt] for jt, _ in pairs]
+    gi = [gpos[jg] for _, jg in pairs]
+    # entry (t, v, k) is ut_r[t, ti[k]] * ug_r[v, gi[k]], so row t * N + v of
+    # the reshape is np.kron(ut_r[:, ti[k]], ug_r[:, gi[k]])[t * N + v]
+    return (ut_r[:, None, ti] * ug_r[None, :, gi]).reshape(-1, len(ti))
 
 
 def joint_basis_columns(basis_t: EigenBasis, basis_g: EigenBasis, support) -> np.ndarray:

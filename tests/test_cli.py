@@ -64,6 +64,16 @@ class TestGen:
             run("gen", "graph", "--type", "nope", "--n", 4, "-o", tmp_path / "g.json")
         assert exc.value.code == 2
 
+    def test_infinite_edge_weight_exit_2(self, workspace, tmp_path):
+        # JSON's Infinity loads as a float; the graph must reject it, not let
+        # the eigensolver return an all-NaN basis
+        _, paths = workspace
+        bad = tmp_path / "inf.json"
+        bad.write_text(paths["gg"].read_text().replace("1.0", "Infinity", 1))
+        assert "Infinity" in bad.read_text()
+        assert run("plan", "--graph-t", paths["gt"], "--graph-g", bad,
+                   "--support", paths["support"], "-o", tmp_path / "p.json") == 2
+
     def test_cycle_too_small_input_error(self, tmp_path):
         assert run("gen", "graph", "--type", "cycle", "--n", 2, "-o", tmp_path / "g.json") == 2
 
@@ -174,6 +184,33 @@ class TestRoundTrip:
         assert run("reconstruct", "--support", paths["support"],
                    "--basis-file", paths["basis"], "--plan", plan,
                    "--samples", bad, "-o", tmp / "r.csv") == 2
+
+    def reconstruct_with_samples(self, workspace, edit):
+        """Exit code of ``reconstruct --reference`` after ``edit`` rewrote the
+        value column of the samples file."""
+        tmp, paths = workspace
+        graphs = ["--graph-t", paths["gt"], "--graph-g", paths["gg"]]
+        signal, plan, samples = tmp / "x.csv", tmp / "plan.json", tmp / "samples.csv"
+        assert run("gen", "signal", *graphs, "--support", paths["support"],
+                   "--seed", 9, "-o", signal) == 0
+        assert run("plan", *graphs, "--support", paths["support"], "-o", plan) == 0
+        assert run("sample", "--signal", signal, "--plan", plan, "-o", samples) == 0
+        rows = [line.rsplit(",", 1) for line in samples.read_text().split()]
+        values = edit([value for _, value in rows])
+        samples.write_text("".join(f"{p},{v}\n" for (p, _), v in zip(rows, values)))
+        return run("reconstruct", *graphs, "--support", paths["support"], "--plan", plan,
+                   "--samples", samples, "--reference", signal, "-o", tmp / "r.csv")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+    def test_non_finite_samples_exit_2(self, workspace, bad):
+        assert self.reconstruct_with_samples(workspace, lambda v: [bad] + v[1:]) == 2
+
+    def test_nan_reconstruction_fails_reference_check(self, workspace):
+        # finite samples near the float limit overflow inside the solve and
+        # give a NaN signal, whose NaN error must not pass the tolerance
+        huge = lambda v: ["1e308", "-1e308", "1e308"][: len(v)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert self.reconstruct_with_samples(workspace, huge) == 3
 
     def test_byte_identical_outputs(self, workspace):
         tmp, paths = workspace

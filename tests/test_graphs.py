@@ -33,6 +33,12 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match="weight"):
             Graph(2, ((0, 1, -1.0),))
 
+    @pytest.mark.parametrize("w", [float("inf"), float("nan")])
+    def test_non_finite_weight_rejected(self, w):
+        # both pass a plain w <= 0 test
+        with pytest.raises(ValueError, match="non-finite"):
+            Graph(2, ((0, 1, w),))
+
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
             Graph(2, ((0, 0, 1.0),))

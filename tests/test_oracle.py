@@ -1,4 +1,6 @@
+import ast
 from itertools import combinations
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -289,6 +291,107 @@ class TestExhaustiveCheck:
                 min_proj_g=min(proj_g, default=None),
             ))
         return reports
+
+    def test_never_ranks_subsets_smaller_than_k(self, monkeypatch):
+        # a stack of fewer than K rows can never reach rank K, so ranking one
+        # is wasted work, whatever max_size asks for
+        rng = np.random.default_rng(92)
+        bt = eig_sym(laplacian(cycle_graph(3)))
+        bg = eig_sym(laplacian(random_connected_graph(4, rng)))
+        support = random_support(3, 4, rng, k_t=2, k_g=3, k=4)
+        uj = joint_basis_columns(bt, bg, support)
+        shapes = []
+
+        def recording(stack, *args, **kwargs):
+            shapes.append(np.shape(stack))
+            return elimination_rank(stack, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "elimination_rank", recording)
+        for max_size in range(1, support.k + 2):
+            shapes.clear()
+            report = exhaustive_check(uj, support, max_size=max_size)
+            assert all(shape[-2] >= support.k for shape in shapes)
+            if max_size < support.k:
+                assert shapes == []
+                assert report.min_qualified_size is None
+            else:
+                assert report.min_qualified_size == support.k
+                assert {shape[-2] for shape in shapes} == set(range(support.k, max_size + 1))
+
+    @staticmethod
+    def oracle_tiny_instances(seed, count):
+        """T = 4 cycle x N = 5 Erdos-Renyi instances with K_T = 2, K_G = 3,
+        K = 5, drawn in the order the oracle-tiny benchmark workload draws them."""
+        rng = np.random.default_rng(seed)
+        bt = eig_sym(laplacian(cycle_graph(4)))
+        for _ in range(count):
+            bg = eig_sym(laplacian(random_connected_graph(5, rng)))
+            support = random_support(4, 5, rng, k_t=2, k_g=3, k=5)
+            ut_r, ug_r = restrict_bases(bt, bg, support)
+            yield support, joint_columns_from_restricted(ut_r, ug_r, support)
+
+    def test_svd_cross_check_at_the_size_limit(self):
+        # The oracle must count exactly the 5-sets an SVD finds nonsingular.
+        # Measured over the 194 instances of seeds 301 and 304: accepted sets
+        # have sigma_min / sigma_max >= 2.4e-8, rejected ones <= 5e-16, so the
+        # 1e-12 cut sits far from both. Instance 68 of seed 304 holds 5-sets
+        # at 3e-16 that an elimination reusing pivots across the subset tree
+        # accepted; partial pivoting on each subset must reject them.
+        subsets = np.array(list(combinations(range(20), 5)))
+        instances = list(self.oracle_tiny_instances(304, 69))
+        for j in (0, 1, 2, 3, 68):
+            support, uj = instances[j]
+            s = np.linalg.svd(uj[subsets], compute_uv=False)
+            ratio = s[:, -1] / s[:, 0]
+            report = exhaustive_check(uj, support)
+            assert report.count_qualified_at_k == np.sum(ratio > 1e-12)
+            if j == 68:
+                assert np.sum((ratio > 0) & (ratio < 1e-15)) > 0
+
+
+class TestIndependence:
+    FORBIDDEN_CALLS = {"svd", "qr", "matrix_rank", "lstsq", "solve", "det", "eigh"}
+
+    @staticmethod
+    def violations(source):
+        """Imports from ``sampling`` and calls of factorizing solvers."""
+        found = []
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                names = {alias.name for alias in node.names}
+                if module.split(".")[-1] == "sampling" or "sampling" in names:
+                    found.append(f"imports {module or '.'}: {sorted(names)}")
+            elif isinstance(node, ast.Import):
+                found += [f"imports {a.name}" for a in node.names
+                          if a.name.split(".")[-1] == "sampling"]
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in TestIndependence.FORBIDDEN_CALLS:
+                    found.append(f"calls {name} on line {node.lineno}")
+        return found
+
+    def test_oracle_shares_no_code_with_the_fast_path(self):
+        # the oracle audits the fast path only while it shares none of its
+        # linear algebra: no import from sampling, no SVD / QR / solve
+        assert self.violations(Path(oracle.__file__).read_text()) == []
+
+    @pytest.mark.parametrize("line", [
+        "from .sampling import qualify",
+        "from . import sampling",
+        "from jtvsampling.sampling import qualify",
+        "import jtvsampling.sampling",
+        "r = np.linalg.matrix_rank(a)",
+        "s = np.linalg.svd(a, compute_uv=False)",
+        "q, r = qr(a)",
+        "x = np.linalg.lstsq(a, b)",
+        "x = np.linalg.solve(a, b)",
+        "d = np.linalg.det(a)",
+        "w, v = np.linalg.eigh(a)",
+    ])
+    def test_guard_catches_each_breach(self, line):
+        assert len(self.violations(line)) == 1
 
 
 class TestMonotonicity:

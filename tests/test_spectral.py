@@ -49,6 +49,37 @@ class TestEigSym:
         with pytest.raises(ValueError, match="square"):
             eig_sym(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        # a symmetric matrix holding inf passes np.allclose and gives an
+        # all-NaN basis from eigh
+        mat = laplacian(cycle_graph(3))
+        mat[0, 1] = mat[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            eig_sym(mat)
+
+    def test_symmetry_boundary_matches_allclose(self):
+        # the guard is np.allclose(a, a.T, atol=1e-10) written out: both must
+        # accept and reject the same asymmetries, just inside and outside
+        # 1e-10 + 1e-5 * |a.T| and on either side of the diagonal
+        verdicts = []
+        for entry in (0.0, 1e-3, 1.0, 7.5, 1e4):
+            tol = 1e-10 + 1e-5 * entry
+            for ratio in (0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 2.0):
+                for upper in (True, False):
+                    mat = np.diag([2.0, 3.0, 4.0])
+                    mat[0, 2] = mat[2, 0] = entry
+                    mat[(0, 2) if upper else (2, 0)] += ratio * tol
+                    expected = np.allclose(mat, mat.T, atol=1e-10)
+                    try:
+                        eig_sym(mat)
+                        accepted = True
+                    except ValueError:
+                        accepted = False
+                    assert accepted == expected, (entry, ratio, upper)
+                    verdicts.append(accepted)
+        assert any(verdicts) and not all(verdicts)
+
     def test_deterministic(self, ref):
         b1 = eig_sym(ref.l_graph)
         b2 = eig_sym(ref.l_graph)
@@ -191,6 +222,41 @@ class TestJointBasisColumns:
         )
         uj = joint_basis_columns(bt, bg, support)
         assert np.max(np.abs(uj.T @ uj - np.eye(4))) < 1e-9
+
+    def test_matches_per_pair_kron(self):
+        # one broadcast builds every column; each must equal, bit for bit, the
+        # Kronecker product of its restricted time and graph columns
+        rng = np.random.default_rng(13)
+        for _ in range(40):
+            t, n = (int(v) for v in rng.integers(1, 9, size=2))
+            k_t, k_g = int(rng.integers(1, t + 1)), int(rng.integers(1, n + 1))
+            time_freqs = rng.choice(t, size=k_t, replace=False)
+            graph_freqs = rng.choice(n, size=k_g, replace=False)
+            grid = [(jt, jg) for jt in time_freqs for jg in graph_freqs]
+            # rectangle, a sparse subset of it touching every row and column,
+            # and a single pair
+            sparse = {(jt, graph_freqs[i % k_g]) for i, jt in enumerate(time_freqs)}
+            sparse |= {(time_freqs[i % k_t], jg) for i, jg in enumerate(graph_freqs)}
+            for pairs in (grid, sparse, grid[:1]):
+                support = SpectralSupport(
+                    t_dim=t, g_dim=n,
+                    pairs=frozenset((int(jt), int(jg)) for jt, jg in pairs),
+                )
+                ut_r = rng.normal(size=(t, support.k_t))
+                ug_r = rng.normal(size=(n, support.k_g))
+                tpos = {f: i for i, f in enumerate(support.time_freqs)}
+                gpos = {f: i for i, f in enumerate(support.graph_freqs)}
+                expected = np.column_stack([
+                    np.kron(ut_r[:, tpos[jt]], ug_r[:, gpos[jg]])
+                    for jt, jg in support.sorted_pairs
+                ])
+                uj = joint_columns_from_restricted(ut_r, ug_r, support)
+                assert uj.shape == (t * n, support.k)
+                assert np.array_equal(uj, expected)
+
+    def test_restricted_bandwidth_mismatch(self, ref):
+        with pytest.raises(ValueError, match="bandwidths"):
+            joint_columns_from_restricted(ref.ut_r[:, :1], ref.ug_r, ref.support)
 
     def test_out_of_range_pair(self):
         bt = eig_sym(np.eye(2))
