@@ -1,8 +1,10 @@
 """Critical sampling set construction, qualification checks, and reconstruction.
 
 The core routine factors the row search: independent rows of the small time and
-graph bases first, then one pass over the K_T*K_G candidate product rows of the
-joint basis, instead of eliminating over all N*T rows.
+graph bases first, then one greedy max-volume pass over the K_T*K_G candidate
+product rows of the joint basis, instead of eliminating over all N*T rows. The
+pass prefers rows on time slots and vertices it has not yet covered, so one
+pass yields a critical plan.
 """
 
 from dataclasses import dataclass
@@ -104,31 +106,10 @@ class QualificationReport:
         )
 
 
-def _greedy_scan(mat: np.ndarray, order, eps: float) -> list:
-    """Greedy independent-row pick scanning rows in the given order."""
-    n_rows, n_cols = mat.shape
-    norms = np.linalg.norm(mat, axis=1)
-    scale = float(np.max(norms)) if n_rows else 0.0
-    basis = np.empty((n_cols, n_cols))
-    count = 0
-    selected = []
-    for i in order:
-        row = mat[i]
-        norm = norms[i]
-        # rows negligible at matrix scale count as zero rows
-        if norm <= eps * scale:
-            continue
-        resid = row
-        if count:
-            q = basis[:count]
-            resid = resid - q.T @ (q @ resid)
-            resid = resid - q.T @ (q @ resid)  # reorthogonalize for stability
-        rnorm = np.linalg.norm(resid)
-        if rnorm > eps * norm:
-            basis[count] = resid / rnorm
-            count += 1
-            selected.append(i)
-    return selected
+def _residual(row: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``row`` minus its projection onto the orthonormal rows of ``q``."""
+    resid = row - q.T @ (q @ row)
+    return resid - q.T @ (q @ resid)  # reorthogonalize for stability
 
 
 def max_lin_indep_rows(mat: np.ndarray, eps: float = ROW_SELECT_EPS) -> list:
@@ -144,27 +125,53 @@ def max_lin_indep_rows(mat: np.ndarray, eps: float = ROW_SELECT_EPS) -> list:
         raise ValueError(f"expected a matrix with at least one column, got {mat.shape}")
     if eps <= 0:
         raise ValueError(f"tolerance must be positive, got {eps}")
-    return _greedy_scan(mat, range(mat.shape[0]), eps)
+    norms = np.linalg.norm(mat, axis=1)
+    scale = float(np.max(norms)) if len(mat) else 0.0
+    basis = np.empty((mat.shape[1], mat.shape[1]))
+    selected = []
+    for i, row in enumerate(mat):
+        # rows negligible at matrix scale count as zero rows
+        if norms[i] <= eps * scale:
+            continue
+        resid = _residual(row, basis[:len(selected)])
+        rnorm = np.linalg.norm(resid)
+        if rnorm > eps * norms[i]:
+            basis[len(selected)] = resid / rnorm
+            selected.append(i)
+    return selected
 
 
-def _spread_orders(product, sel_t, sel_g, n_shuffles=200, seed=0):
-    """Scan orders whose leading rows touch every chosen time slot and vertex.
+def _coverage_first_rows(rows: np.ndarray, n_g: int) -> list:
+    """Step 3: greedy max-volume pick of independent grid rows, coverage first.
 
-    Yields deterministic cyclic-transversal fronts (one per offset), then
-    seeded shuffles as a last resort.
+    ``rows[i]`` is grid cell ``(i // n_g, i % n_g)``. Rows covering two new
+    grid slots / vertices come first, then one, then none; within that, the
+    largest residual wins (lowest index on ties). Acceptance is
+    :func:`max_lin_indep_rows`'s rule; a rejected row lies in the span for good.
     """
-    n = len(product)
-    idx = {p: i for i, p in enumerate(product)}
-    span = max(len(sel_t), len(sel_g))
-    for off in range(span):
-        front = [
-            idx[(sel_t[(i + off) % len(sel_t)], sel_g[i % len(sel_g)])]
-            for i in range(span)
-        ]
-        yield front + [i for i in range(n) if i not in set(front)]
-    rng = np.random.default_rng(seed)
-    for _ in range(n_shuffles):
-        yield rng.permutation(n).tolist()
+    n_rows, n_cols = rows.shape
+    resid2 = np.einsum("ij,ij->i", rows, rows)
+    norms = np.sqrt(resid2)
+    # rows negligible at matrix scale count as zero rows
+    live = norms > ROW_SELECT_EPS * np.max(norms)
+    new_t, new_g = np.ones(n_rows // n_g, dtype=int), np.ones(n_g, dtype=int)
+    basis = np.empty((n_cols, n_cols))
+    picked = []
+    while len(picked) < n_cols and live.any():
+        gain = np.add.outer(new_t, new_g).ravel()  # new slots + new vertices
+        pool = live & (gain == np.max(gain, where=live, initial=0))
+        i = int(np.argmax(np.where(pool, resid2, -np.inf)))
+        live[i] = False
+        resid = _residual(rows[i], basis[:len(picked)])
+        rnorm = np.linalg.norm(resid)
+        if rnorm <= ROW_SELECT_EPS * norms[i]:
+            continue
+        q = basis[len(picked)] = resid / rnorm
+        picked.append(i)
+        t, v = divmod(i, n_g)
+        new_t[t] = new_g[v] = 0
+        resid2 -= (rows @ q) ** 2  # left-looking downdate: one matvec per pick
+    return picked
 
 
 def _factor_rows(ut_r: np.ndarray, ug_r: np.ndarray):
@@ -187,16 +194,14 @@ def critical_sampling_set(ut_r: np.ndarray, ug_r: np.ndarray, uj: np.ndarray,
 
     Step 1 picks independent time slots and vertices from the small factors,
     step 2 restricts the joint basis to their product (lexicographic (t, v)
-    order), step 3 picks independent rows there and maps them back to sample
+    order), step 3 picks K independent rows there and maps them back to sample
     tuples. Returns the plan with its qualification report.
 
-    The step-3 scan starts in lexicographic order. When the support does not
-    fill its bounding rectangle, the lowest-index pick can reach full rank
-    while touching fewer than K_T time slots or K_G vertices; in that case the
-    scan is retried with deterministic orders that spread the leading rows
-    across the whole grid, and the first full-rank spread selection wins. If
-    no scan order covers the grid, the lexicographic plan is returned (still
-    qualified and of minimal size K, but not critical).
+    Step 3 is one coverage-first, max-volume pass (:func:`_coverage_first_rows`):
+    each pick takes the product row with the largest residual, preferring rows
+    on time slots and vertices no pick touches yet. Coverage is greedy, not
+    guaranteed: a plan that misses a slot or vertex is still qualified and of
+    minimal size K, but not critical, and the report says so.
     """
     ut_r = np.asarray(ut_r, dtype=float)
     ug_r = np.asarray(ug_r, dtype=float)
@@ -212,28 +217,14 @@ def critical_sampling_set(ut_r: np.ndarray, ug_r: np.ndarray, uj: np.ndarray,
     sel_t, sel_g = _factor_rows(ut_r, ug_r)
     product = [(t, v) for t in sel_t for v in sel_g]
     rows = uj[[t * g_dim + v for t, v in product]]
-    picked = max_lin_indep_rows(rows)
+    picked = _coverage_first_rows(rows, len(sel_g))
     if len(picked) != support.k:
         raise RankDeficiencyError(
             f"step 3: product rows have rank {len(picked)} < {support.k}"
         )
-
     samples = frozenset(product[i] for i in picked)
     plan = SamplingPlan(t_dim=t_dim, g_dim=g_dim, samples=samples)
-    report = qualify(plan, uj, support)
-    if report.critical:
-        return plan, report
-
-    for order in _spread_orders(product, sel_t, sel_g):
-        alt = _greedy_scan(rows, order, ROW_SELECT_EPS)
-        if len(alt) != support.k:
-            continue
-        points = [product[i] for i in alt]
-        if (len({t for t, _ in points}) == support.k_t
-                and len({v for _, v in points}) == support.k_g):
-            alt_plan = SamplingPlan(t_dim=t_dim, g_dim=g_dim, samples=frozenset(points))
-            return alt_plan, qualify(alt_plan, uj, support)
-    return plan, report
+    return plan, qualify(plan, uj, support)
 
 
 def qualify(plan: SamplingPlan, uj: np.ndarray, support: SpectralSupport) -> QualificationReport:
@@ -285,8 +276,8 @@ def reconstruct_coefficients(values: np.ndarray, plan: SamplingPlan,
 
     One thin SVD of the sampled block gives its rank (``matrix_rank``'s
     default tolerance), its condition number and the least-squares solution,
-    which is exact for critical-sized plans. Refuses unqualified plans and
-    near-singular systems.
+    which is exact for critical-sized plans. Refuses unqualified plans,
+    near-singular systems and samples large enough to overflow the solve.
     """
     values = np.asarray(values, dtype=float)
     uj = np.asarray(uj, dtype=float)
@@ -307,12 +298,19 @@ def reconstruct_coefficients(values: np.ndarray, plan: SamplingPlan,
         raise IllConditionedError(
             f"sampled system condition estimate {cond:.3e} exceeds {COND_LIMIT:.0e}"
         )
-    return vt.T @ ((u.T @ values) / s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = vt.T @ ((u.T @ values) / s)
+    if not np.all(np.isfinite(coeffs)):
+        raise IllConditionedError("sample values overflow the solve")
+    return coeffs
 
 
 def reconstruct(values: np.ndarray, plan: SamplingPlan, uj: np.ndarray,
                 support: SpectralSupport) -> np.ndarray:
     """Full N x T signal recovered from sampled values."""
     coeffs = reconstruct_coefficients(values, plan, uj, support)
-    x = np.asarray(uj, dtype=float) @ coeffs
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.asarray(uj, dtype=float) @ coeffs
+    if not np.all(np.isfinite(x)):
+        raise IllConditionedError("reconstructed signal overflows")
     return unvec(x, support.g_dim, support.t_dim)

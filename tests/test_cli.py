@@ -185,9 +185,9 @@ class TestRoundTrip:
                    "--basis-file", paths["basis"], "--plan", plan,
                    "--samples", bad, "-o", tmp / "r.csv") == 2
 
-    def reconstruct_with_samples(self, workspace, edit):
-        """Exit code of ``reconstruct --reference`` after ``edit`` rewrote the
-        value column of the samples file."""
+    def reconstruct_with_samples(self, workspace, edit, reference=True):
+        """Exit code of ``reconstruct`` (with ``--reference`` unless told
+        otherwise) after ``edit`` rewrote the value column of the samples file."""
         tmp, paths = workspace
         graphs = ["--graph-t", paths["gt"], "--graph-g", paths["gg"]]
         signal, plan, samples = tmp / "x.csv", tmp / "plan.json", tmp / "samples.csv"
@@ -198,8 +198,9 @@ class TestRoundTrip:
         rows = [line.rsplit(",", 1) for line in samples.read_text().split()]
         values = edit([value for _, value in rows])
         samples.write_text("".join(f"{p},{v}\n" for (p, _), v in zip(rows, values)))
+        check = ["--reference", signal] if reference else []
         return run("reconstruct", *graphs, "--support", paths["support"], "--plan", plan,
-                   "--samples", samples, "--reference", signal, "-o", tmp / "r.csv")
+                   "--samples", samples, *check, "-o", tmp / "r.csv")
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
     def test_non_finite_samples_exit_2(self, workspace, bad):
@@ -211,6 +212,36 @@ class TestRoundTrip:
         huge = lambda v: ["1e308", "-1e308", "1e308"][: len(v)]
         with np.errstate(over="ignore", invalid="ignore"):
             assert self.reconstruct_with_samples(workspace, huge) == 3
+
+    def test_overflowing_samples_exit_3_without_reference(self, workspace):
+        # the solve must refuse non-finite coefficients itself, so that no
+        # inf / NaN signal is written when there is no reference to compare
+        tmp, _ = workspace
+        huge = lambda v: ["1e308", "-1e308", "1e308"][: len(v)]
+        assert self.reconstruct_with_samples(workspace, huge, reference=False) == 3
+        assert not (tmp / "r.csv").exists()
+
+    def test_cycle_er_instance_within_tolerance(self, tmp_path):
+        # 32-cycle x 32-vertex ER graph, K = 54: a lowest-index step-3 scan
+        # gave this plan cond 6.4e10 and a max-abs error of 7.6e-6, above the
+        # 1e-6 * ||x||_F = 7.35e-6 that --reference allows
+        p = lambda name: tmp_path / name
+        seed = 2711932562
+        graphs = ["--graph-t", p("gt.json"), "--graph-g", p("gg.json")]
+        assert run("gen", "graph", "--type", "cycle", "--n", 32, "-o", p("gt.json")) == 0
+        assert run("gen", "graph", "--type", "er", "--n", 32, "--seed", seed,
+                   "-o", p("gg.json")) == 0
+        assert run("gen", "support", "--t", 32, "--n", 32, "--kt", 8, "--kg", 8,
+                   "--seed", seed, "-o", p("support.json")) == 0
+        assert fileio.load_support(p("support.json")).k == 54
+        assert run("gen", "signal", *graphs, "--support", p("support.json"),
+                   "--seed", seed, "-o", p("x.csv")) == 0
+        assert run("plan", *graphs, "--support", p("support.json"), "-o", p("plan.json")) == 0
+        assert run("sample", "--signal", p("x.csv"), "--plan", p("plan.json"),
+                   "-o", p("samples.csv")) == 0
+        assert run("reconstruct", *graphs, "--support", p("support.json"),
+                   "--plan", p("plan.json"), "--samples", p("samples.csv"),
+                   "--reference", p("x.csv"), "-o", p("x_rec.csv")) == 0
 
     def test_byte_identical_outputs(self, workspace):
         tmp, paths = workspace

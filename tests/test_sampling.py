@@ -16,14 +16,17 @@ from jtvsampling import (
     restrict_bases,
     sample,
     separate_sampling,
+    synth_from_restricted,
     synth_signal,
     vec,
 )
+from jtvsampling import bench, sampling
 from jtvsampling.generate import random_coeffs, random_connected_graph, random_support
 from jtvsampling.sampling import (
     IllConditionedError,
     RankDeficiencyError,
     UnqualifiedPlanError,
+    _coverage_first_rows,
     reconstruct_coefficients,
 )
 
@@ -118,9 +121,10 @@ class TestCriticalSamplingSet:
         assert p1 == p2
 
     def test_spread_retry_restores_coverage(self):
-        # For this support the lexicographic step-3 scan reaches full rank
-        # using only two of the three independent time slots; the spread retry
-        # must still deliver a critical plan, deterministically.
+        # For this support a lexicographic step-3 scan reaches full rank
+        # using only two of the three independent time slots; the one
+        # coverage-first pass must still deliver a critical plan,
+        # deterministically.
         rng = np.random.default_rng(7)
         bt = eig_sym(laplacian(cycle_graph(5)))
         bg = eig_sym(laplacian(random_connected_graph(3, rng)))
@@ -138,6 +142,40 @@ class TestCriticalSamplingSet:
         assert report.critical
         plan2, _ = critical_sampling_set(ut_r, ug_r, uj, support)
         assert plan == plan2
+
+    def test_coverage_first_pick_order(self):
+        # 2 x 2 grid, rows in (t, v) order; the lowest-index scan takes [0, 1]
+        rows = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [3.0, 0.0]])
+        # largest residual first; row 0 then covers two new cells but is
+        # dependent, so the tie between rows 1 and 2 goes to the lower index
+        assert _coverage_first_rows(rows, 2) == [3, 1]
+        rows = np.array([[10.0, 0.0], [0.0, 5.0], [0.0, 1.0], [1.0, 1.0]])
+        # row 3 covers two new cells and beats row 1's larger residual
+        assert _coverage_first_rows(rows, 2) == [0, 3]
+
+    def test_qualifies_once_per_plan(self, monkeypatch):
+        calls = []
+        original = sampling.qualify
+        monkeypatch.setattr(sampling, "qualify", lambda *a: calls.append(1) or original(*a))
+        rng = np.random.default_rng(99)
+        for done in range(1, 51):
+            _, _, support, ut_r, ug_r, uj = make_instance(5, 4, rng)
+            assert critical_sampling_set(ut_r, ug_r, uj, support)[1].critical
+            assert len(calls) == done
+
+    @pytest.mark.parametrize("n", [48, 64])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_well_conditioned_at_bench_sizes(self, n, seed):
+        # a lowest-index step-3 scan gave cond 1.0e9 / 1.1e9 at n = 48
+        # (seeds 0, 2) and 5.5e8 at n = 64 (seed 0)
+        ut_r, ug_r, uj, support = bench.prepare_case(n, seed)
+        plan, report = critical_sampling_set(ut_r, ug_r, uj, support)
+        assert report.critical
+        assert np.linalg.cond(uj[plan.linear_indices()]) < 1e5
+        x = synth_from_restricted(ut_r, ug_r, support,
+                                  random_coeffs(support, np.random.default_rng(seed)))
+        x_rec = reconstruct(sample(x, plan), plan, uj, support)
+        assert np.linalg.norm(x_rec - x) < 1e-8 * np.linalg.norm(x)
 
     def test_corrupted_input_raises(self, ref):
         uj = joint_columns_from_restricted(ref.ut_r, ref.ug_r, ref.support)
@@ -261,6 +299,17 @@ class TestReconstruct:
         plan = SamplingPlan(2, 2, frozenset({(0, 0), (0, 1)}))
         with pytest.raises((IllConditionedError, UnqualifiedPlanError)):
             reconstruct_coefficients(np.array([1.0, 0.0]), plan, uj, support)
+
+    def test_overflowing_values_rejected(self):
+        support = SpectralSupport(t_dim=2, g_dim=2, pairs=frozenset({(0, 0), (1, 1)}))
+        uj = np.array([[1.0, 1.0], [1.0, -1.0], [0.0, 0.0], [0.0, 0.0]]) / np.sqrt(2)
+        plan = SamplingPlan(2, 2, frozenset({(0, 0), (0, 1)}))
+        with pytest.raises(IllConditionedError, match="overflow"):
+            reconstruct_coefficients(np.array([1.7e308, -1.7e308]), plan, uj, support)
+        # finite coefficients can still overflow in the synthesis
+        uj = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(IllConditionedError, match="overflow"):
+            reconstruct(np.array([1e308, 1e308]), plan, uj, support)
 
     def test_overdetermined_solve_keeps_accuracy(self):
         # cond 1e7 is accepted, so the error may reach cond * eps ~ 2e-9;
