@@ -152,6 +152,9 @@ class TestCriticalSamplingSet:
         rows = np.array([[10.0, 0.0], [0.0, 5.0], [0.0, 1.0], [1.0, 1.0]])
         # row 3 covers two new cells and beats row 1's larger residual
         assert _coverage_first_rows(rows, 2) == [0, 3]
+        rows = np.array([[3.0, 0.0, 0.0], [2.5, 0.0, 0.1], [0.0, 0.0, 1.0], [0.0, 2.0, 0.0]])
+        # once every slot and vertex is covered, row 2's residual beats row 1's norm
+        assert _coverage_first_rows(rows, 2) == [0, 3, 2]
 
     def test_qualifies_once_per_plan(self, monkeypatch):
         calls = []
