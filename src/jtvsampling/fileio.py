@@ -149,4 +149,6 @@ def load_basis_pair(path):
         raise ValueError(f"malformed basis file {path}: {exc}") from exc
     if ut_r.ndim != 2 or ug_r.ndim != 2:
         raise ValueError(f"basis file {path} must hold two matrices")
+    if not (np.all(np.isfinite(ut_r)) and np.all(np.isfinite(ug_r))):
+        raise ValueError(f"basis file {path} contains non-finite values")
     return ut_r, ug_r

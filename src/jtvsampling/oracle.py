@@ -2,12 +2,14 @@
 
 Everything here deliberately avoids the production row-selection code: rank is
 computed by plain Gaussian elimination so the oracle and the fast path cannot
-share a bug. The elimination is stacked: it ranks a whole block of enumerated
-subsets per call, matrix by matrix, with no SVD, QR or call into ``sampling``.
+share a bug. The elimination is stacked: one call ranks ``BLOCK`` enumerated
+subsets, held with the stack axis innermost so that each column step runs over
+all of them at once, with no SVD, QR or call into ``sampling``.
 """
 
 from dataclasses import dataclass, field
 from itertools import chain, combinations, islice
+from math import prod
 
 import numpy as np
 
@@ -17,7 +19,7 @@ MAX_JOINT_VERTICES = 20
 # Subsets ranked per stacked elimination call: large enough to amortize the
 # per-call numpy overhead, small enough to keep the stack and its temporaries
 # well under a megabyte.
-BLOCK = 128
+BLOCK = 512
 # Shared pool for itertools.combinations: CPython 3.11 keeps every freed
 # 20-tuple on a free list it never reuses, so a pool built per call at the
 # size limit would cost memory on every call.
@@ -30,39 +32,52 @@ def elimination_rank(mat: np.ndarray, tol: float = 1e-10):
     ``mat`` is one matrix ``(rows, cols)`` or a stack ``(..., rows, cols)``,
     as for ``np.linalg.matrix_rank``; a matrix gives an ``int``, a stack an
     int array of its leading shape. Every matrix is reduced on its own: it
-    keeps its own scale ``max |a|``, pivot row and running rank, and skips a
-    column whose best pivot is at most ``tol * scale``.
+    keeps its own scale ``max |a|``, pivot rows and running rank, and skips a
+    column whose best pivot is at most ``tol * scale``. The stack is copied
+    once with the stack axis innermost, so each column step is a few numpy
+    calls over every matrix at once. A pivot row is not swapped into place:
+    it eliminates itself to zeros, so an exact tie in pivot magnitude goes to
+    the lowest row index. Raises ``ValueError`` on a NaN or infinite entry or
+    a negative ``tol``; ``mat`` is left unchanged.
     """
-    a = np.array(mat, dtype=float)
-    lead = a.shape[:-2]
-    rows, cols = a.shape[-2:]
-    count = int(np.prod(lead))
-    a = a.reshape(count, rows, cols)
+    if tol < 0:
+        raise ValueError(f"tolerance must be non-negative, got {tol}")
+    mat = np.asarray(mat)
+    lead = mat.shape[:-2]
+    rows, cols = mat.shape[-2:]
+    count = prod(lead)
+    # a[col] is one contiguous (rows, count) slab
+    a = np.empty((cols, rows) + lead)
+    a[...] = np.moveaxis(mat, (-1, -2), (0, 1))
+    a = a.reshape(cols, rows, count)
     rank = np.zeros(count, dtype=np.intp)
     if a.size:
-        scale = np.max(np.abs(a), axis=(1, 2))
+        # max |a| from two reductions, with no temporary the size of the stack
+        scale = np.maximum(a.max(axis=(0, 1)), -a.min(axis=(0, 1)))
+        if not np.isfinite(scale).all():
+            raise ValueError("cannot rank a matrix with NaN or infinite entries")
+        cut = tol * scale
+        flat = a.reshape(cols, rows * count)
         which = np.arange(count)
-        row_ids = np.arange(rows)
         for col in range(cols):
             if (rank == rows).all():
                 break
-            # rows above a matrix's rank are spent: they never win the argmax
-            mag = np.abs(a[:, :, col])
-            mag[row_ids < rank[:, None]] = -1.0
-            piv = np.argmax(mag, axis=1)
-            ok = mag[which, piv] > tol * scale
+            mag = np.abs(a[col])
+            # flat index of each matrix's pivot within a (rows, count) slab
+            at = mag.argmax(axis=0) * count + which
+            ok = mag.take(at) > cut
             if not ok.any():
                 continue
-            top = np.minimum(rank, rows - 1)
-            piv = np.where(ok, piv, top)
-            pivot_row = a[which, piv]
-            a[which, piv] = a[which, top]
-            a[which, top] = pivot_row
-            pivot = np.where(ok, pivot_row[:, col], 1.0)
-            factors = a[:, :, col] / pivot[:, None]
-            factors[(row_ids <= rank[:, None]) | ~ok[:, None]] = 0.0
-            # only the columns right of the pivot are read by a later step
-            a[:, :, col + 1:] -= factors[:, :, None] * pivot_row[:, None, col + 1:]
+            pivot_row = flat[col:].take(at, axis=1)
+            # the pivot row's own factor is exactly 1, so it eliminates itself
+            # to exact zeros right of the pivot: that marks it spent, and a
+            # zero row never passes the pivot test
+            factors = a[col] / np.where(ok, pivot_row[0], 1.0)
+            factors *= ok
+            # only the columns right of the pivot are read by a later step;
+            # one column at a time keeps the temporary to one slab
+            for right in range(col + 1, cols):
+                a[right] -= factors * pivot_row[right - col]
             rank += ok
     if not lead:
         return int(rank[0])
@@ -179,7 +194,7 @@ def check_monotonicity(uj: np.ndarray, trials: int, rng=None) -> bool:
     """Rank never drops when a sample set grows: random nested pairs S1 in S2.
 
     Each subset is sorted and zero-padded to ``nt`` rows, and the pairs of
-    ``BLOCK // 4`` trials are ranked in one stacked call. Zero rows never pass
+    ``BLOCK // 8`` trials are ranked in one stacked call. Zero rows never pass
     the pivot test nor beat a real row as pivot, and leave the scale alone, so
     padding does not change a rank.
     """
@@ -195,8 +210,9 @@ def check_monotonicity(uj: np.ndarray, trials: int, rng=None) -> bool:
         rng = np.random.default_rng(0)
     # index nt selects the zero row appended below
     padded = np.vstack([uj, np.zeros((1, uj.shape[1]))])
-    # padded subsets are taller than enumerated ones, so a call takes fewer
-    per_call = BLOCK // 4
+    # a trial ranks two subsets padded to nt rows, about 8 times the rows of
+    # one enumerated subset at the size limit, so a call takes fewer trials
+    per_call = BLOCK // 8
     for first in range(0, trials, per_call):
         count = min(per_call, trials - first)
         idx = np.full((2, count, nt), nt, dtype=np.intp)

@@ -74,6 +74,25 @@ class TestGen:
         assert run("plan", "--graph-t", paths["gt"], "--graph-g", bad,
                    "--support", paths["support"], "-o", tmp_path / "p.json") == 2
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("command", [
+        ("plan",),
+        ("verify", "--exhaustive"),
+        ("gen", "signal", "--seed", 1),
+    ])
+    def test_non_finite_basis_file_exit_2(self, workspace, tmp_path, command, bad):
+        # a NaN basis used to give exit 0 (plan, gen signal) or a false theory
+        # violation (verify: the oracle ranked NaN matrices 0)
+        _, paths = workspace
+        data = json.loads(paths["basis"].read_text())
+        data["U_G"][0][1] = bad
+        basis = tmp_path / "bad_basis.json"
+        basis.write_text(json.dumps(data).replace(f'"{bad}"', bad))
+        out = tmp_path / "out.json"
+        assert run(*command, "--support", paths["support"], "--basis-file", basis,
+                   "-o", out) == 2
+        assert not out.exists()
+
     def test_cycle_too_small_input_error(self, tmp_path):
         assert run("gen", "graph", "--type", "cycle", "--n", 2, "-o", tmp_path / "g.json") == 2
 

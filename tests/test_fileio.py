@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,20 @@ def test_basis_pair_round_trip(tmp_path, ref):
     ut_r, ug_r = fileio.load_basis_pair(path)
     assert np.array_equal(ut_r, ref.ut_r)
     assert np.array_equal(ug_r, ref.ug_r)
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("which", [0, 1])
+def test_basis_pair_non_finite_rejected(tmp_path, ref, bad, which):
+    # JSON's NaN / Infinity load as floats; a basis holding one must be refused
+    path = tmp_path / "basis.json"
+    fileio.save_basis_pair(ref.ut_r, ref.ug_r, path)
+    data = json.loads(path.read_text())
+    data[("U_T", "U_G")[which]][1][0] = bad
+    path.write_text(json.dumps(data).replace(f'"{bad}"', bad))
+    assert bad in path.read_text()
+    with pytest.raises(ValueError, match="non-finite"):
+        fileio.load_basis_pair(path)
 
 
 def test_deterministic_bytes(tmp_path, ref):

@@ -100,6 +100,15 @@ class TestEliminationRank:
         m = np.array([[1.0, 0.0, 0.0], [0.0, 0.5 * tol, 1.0]])
         assert self.assert_stack_matches(np.array([m, stack[1]])).tolist() == [2, 1]
 
+    def test_skipped_column_leaves_rows_alone(self):
+        # at scale 1e12 the cut is 100, so the first column's entries of 1 fail
+        # the pivot test; eliminating with them anyway would zero the first
+        # row and drop the rank to 1. The identity beside it does pivot there.
+        m = np.array([[1.0, 1e12, 0.0], [1.0, 0.0, 1e12]])
+        assert elimination_rank(m) == 2
+        stack = np.array([m, np.eye(2, 3), m[::-1]])
+        assert self.assert_stack_matches(stack).tolist() == [2] * 3
+
     def test_zero_row_padding_keeps_rank(self):
         rng = np.random.default_rng(42)
         mats = []
@@ -113,6 +122,71 @@ class TestEliminationRank:
             padded[i, : len(m)] = m
         ranks = self.assert_stack_matches(padded)
         assert ranks.tolist() == [elimination_rank(m) for m in mats]
+
+    def test_exact_ties_in_pivot_columns(self):
+        # A 4-cycle basis with vectors of exactly +-0.5: Kronecker products
+        # of them hold exact +-0.25 ties in the pivot columns. A tie goes to
+        # the lowest row index; each matrix must still reach its own rank,
+        # stacked or alone.
+        c = np.sqrt(0.5)
+        v = np.array([[0.5, c, 0.0, 0.5], [0.5, 0.0, c, -0.5],
+                      [0.5, -c, 0.0, 0.5], [0.5, 0.0, -c, -0.5]])
+        assert np.allclose(laplacian(cycle_graph(4)) @ v, v * [0.0, 2.0, 2.0, 4.0])
+        uj = np.kron(v, v)[:, [0, 3, 12, 6]]
+        stack = uj[np.array(list(combinations(range(16), 4)))]
+        tied = np.abs(stack[:, :, :3])
+        assert (tied == 0.25).all()
+        ranks = self.assert_stack_matches(stack)
+        assert ranks.tolist() == np.linalg.matrix_rank(stack).tolist()
+        assert set(ranks.tolist()) == {1, 2, 3, 4}
+
+    def test_input_layouts_and_dtypes(self):
+        # strided views, Fortran order, integer entries and read-only arrays
+        # all give the ranks of the same values in a C-ordered float stack
+        rng = np.random.default_rng(43)
+        ints = np.array([rng.integers(-2, 3, size=(6, r)) @ rng.integers(-2, 3, size=(r, 5))
+                         for r in rng.integers(0, 6, size=80)])
+        expected = elimination_rank(ints.astype(float)).tolist()
+        assert len(set(expected)) > 2
+        read_only = ints.astype(float)
+        read_only.flags.writeable = False
+        layouts = [
+            ints,
+            np.ascontiguousarray(ints.transpose(0, 2, 1)).transpose(0, 2, 1),
+            np.asfortranarray(ints.astype(float)),
+            read_only,
+            np.repeat(ints.astype(float), 2, axis=0)[::2],
+        ]
+        for mats in layouts:
+            assert np.array_equal(mats, ints)
+            assert elimination_rank(mats).tolist() == expected
+            assert self.assert_stack_matches(mats).tolist() == expected
+
+    def test_argument_unchanged(self):
+        rng = np.random.default_rng(44)
+        stack = rng.normal(size=(30, 6, 5))
+        stack[::3, :, 2] = 0.0
+        for mat in (stack, stack[0], stack.tolist()):
+            before = np.array(mat, copy=True)
+            elimination_rank(mat)
+            assert np.array_equal(np.asarray(mat), before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        # NaN never passes the pivot test, so without the check a NaN matrix
+        # would silently read rank 0
+        rng = np.random.default_rng(45)
+        stack = rng.normal(size=(7, 5, 5))
+        stack[4, 2, 3] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            elimination_rank(stack[4])
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            elimination_rank(stack)
+        assert elimination_rank(np.delete(stack, 4, axis=0)).tolist() == [5] * 6
+
+    def test_negative_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            elimination_rank(np.eye(3), tol=-1.0)
 
 
 class TestExhaustiveCheck:
