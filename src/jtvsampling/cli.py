@@ -20,10 +20,6 @@ EXIT_INPUT = 2
 EXIT_THEORY = 3
 
 
-def _default_seed():
-    return int(os.environ.get(SEED_ENV, "0"))
-
-
 def _parse_pairs(text):
     pairs = []
     for chunk in text.split(";"):
@@ -45,31 +41,21 @@ def _load_bases(args):
     )
 
 
-def _load_pipeline(args, support):
-    """Restricted bases and joint basis columns, either computed from the two
-    graphs or injected from a basis file."""
-    if getattr(args, "basis_file", None):
+def _load_pipeline(args):
+    """The ``--support`` file with its restricted bases and joint basis columns;
+    the bases are computed from the two graphs or injected from a basis file."""
+    support = fileio.load_support(args.support)
+    if args.basis_file:
         ut_r, ug_r = fileio.load_basis_pair(args.basis_file)
-        if ut_r.shape != (support.t_dim, support.k_t):
-            raise ValueError(
-                f"time basis shape {ut_r.shape} does not match support "
-                f"({support.t_dim}, {support.k_t})"
-            )
-        if ug_r.shape != (support.g_dim, support.k_g):
-            raise ValueError(
-                f"graph basis shape {ug_r.shape} does not match support "
-                f"({support.g_dim}, {support.k_g})"
-            )
-    else:
-        if not getattr(args, "graph_t", None) or not getattr(args, "graph_g", None):
-            raise ValueError("need --graph-t and --graph-g, or --basis-file")
+    elif args.graph_t and args.graph_g:
         ut_r, ug_r = bandlimit.restrict_bases(*_load_bases(args), support)
+    else:
+        raise ValueError("need --graph-t and --graph-g, or --basis-file")
     uj = spectral.joint_columns_from_restricted(ut_r, ug_r, support)
-    return ut_r, ug_r, uj
+    return support, ut_r, ug_r, uj
 
 
 def cmd_gen_graph(args):
-    seed = args.seed if args.seed is not None else _default_seed()
     if args.type == "cycle":
         g = graphs.cycle_graph(args.n)
     elif args.type == "star":
@@ -78,7 +64,7 @@ def cmd_gen_graph(args):
         g = graphs.path_graph(args.n)
     else:
         g = generate.random_connected_graph(
-            args.n, np.random.default_rng(seed), p=args.p
+            args.n, np.random.default_rng(args.seed), p=args.p
         )
     fileio.save_graph(g, args.out)
     print(f"wrote graph with {g.n} vertices, {len(g.edges)} edges to {args.out}")
@@ -86,14 +72,13 @@ def cmd_gen_graph(args):
 
 
 def cmd_gen_support(args):
-    seed = args.seed if args.seed is not None else _default_seed()
     if args.pairs:
         support = bandlimit.SpectralSupport(
             t_dim=args.t, g_dim=args.n, pairs=_parse_pairs(args.pairs)
         )
     else:
         support = generate.random_support(
-            args.t, args.n, np.random.default_rng(seed),
+            args.t, args.n, np.random.default_rng(args.seed),
             k_t=args.kt, k_g=args.kg, k=args.k,
         )
     fileio.save_support(support, args.out)
@@ -105,10 +90,8 @@ def cmd_gen_support(args):
 
 
 def cmd_gen_signal(args):
-    seed = args.seed if args.seed is not None else _default_seed()
-    support = fileio.load_support(args.support)
-    ut_r, ug_r, _ = _load_pipeline(args, support)
-    coeffs = generate.random_coeffs(support, np.random.default_rng(seed))
+    support, ut_r, ug_r, _ = _load_pipeline(args)
+    coeffs = generate.random_coeffs(support, np.random.default_rng(args.seed))
     x_mat = bandlimit.synth_from_restricted(ut_r, ug_r, support, coeffs)
     fileio.save_signal(x_mat, args.out)
     print(f"wrote {x_mat.shape[0]}x{x_mat.shape[1]} signal to {args.out}")
@@ -130,8 +113,7 @@ def cmd_analyze(args):
 
 
 def cmd_plan(args):
-    support = fileio.load_support(args.support)
-    ut_r, ug_r, uj = _load_pipeline(args, support)
+    support, ut_r, ug_r, uj = _load_pipeline(args)
     plan, report = sampling.critical_sampling_set(ut_r, ug_r, uj, support)
     fileio.save_plan(plan, report, args.out)
     lines = [
@@ -161,12 +143,11 @@ def cmd_sample(args):
 
 
 def cmd_reconstruct(args):
-    support = fileio.load_support(args.support)
     plan = fileio.load_plan(args.plan)
     points, values = fileio.load_samples(args.samples)
     if points != list(plan.sorted_samples):
         raise ValueError("samples file does not match the plan's sample points")
-    _, _, uj = _load_pipeline(args, support)
+    support, _, _, uj = _load_pipeline(args)
     x_rec = sampling.reconstruct(values, plan, uj, support)
     fileio.save_signal(x_rec, args.out)
     print(f"wrote reconstruction to {args.out}")
@@ -185,8 +166,7 @@ def cmd_reconstruct(args):
 
 
 def cmd_verify(args):
-    support = fileio.load_support(args.support)
-    ut_r, ug_r, uj = _load_pipeline(args, support)
+    support, ut_r, ug_r, uj = _load_pipeline(args)
     plan, report = sampling.critical_sampling_set(ut_r, ug_r, uj, support)
     out = {
         "K": report.k,
@@ -211,7 +191,7 @@ def cmd_verify(args):
             "min_proj_g": ex.min_proj_g,
         }
         mono = oracle.check_monotonicity(
-            uj, args.trials, rng=np.random.default_rng(_default_seed())
+            uj, args.trials, rng=np.random.default_rng(args.seed)
         )
         out["monotone"] = mono
         # no subset below K reaches rank K: the minimum is checked once enumerated
@@ -227,16 +207,14 @@ def cmd_verify(args):
 
 
 def cmd_bench(args):
-    seed = args.seed if args.seed is not None else _default_seed()
     if args.support:
-        support = fileio.load_support(args.support)
-        ut_r, ug_r, uj = _load_pipeline(args, support)
+        support, ut_r, ug_r, uj = _load_pipeline(args)
         rows = [bench.benchmark_case(ut_r, ug_r, uj, support, repeats=args.repeats)]
     else:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
         if not sizes:
             raise ValueError("no sizes given")
-        rows = bench.benchmark(sizes, seed=seed, repeats=args.repeats)
+        rows = bench.benchmark(sizes, seed=args.seed, repeats=args.repeats)
     bench.write_bench_csv(rows, args.out)
     for r in rows:
         print(
@@ -255,36 +233,40 @@ def build_parser():
         "time-vertex graph signals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # shared inputs: the bases from two graph files or one basis file, and
+    # the random seed, which main falls back to $JTV_SEED for
+    bases = argparse.ArgumentParser(add_help=False)
+    bases.add_argument("--graph-t")
+    bases.add_argument("--graph-g")
+    bases.add_argument("--basis-file", default=None)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None)
 
     gen = sub.add_parser("gen", help="generate graphs, supports, and signals")
     gen_sub = gen.add_subparsers(dest="what", required=True)
 
-    gg = gen_sub.add_parser("graph", help="write a graph JSON file")
+    gg = gen_sub.add_parser("graph", parents=[seeded], help="write a graph JSON file")
     gg.add_argument("--type", choices=["cycle", "star", "path", "er"], required=True)
     gg.add_argument("--n", type=int, required=True)
     gg.add_argument("--center", type=int, default=0, help="star center (0-based)")
     gg.add_argument("--p", type=float, default=0.5, help="edge probability for er")
-    gg.add_argument("--seed", type=int, default=None)
     gg.add_argument("--out", "-o", required=True)
     gg.set_defaults(func=cmd_gen_graph)
 
-    gs = gen_sub.add_parser("support", help="write a spectral support JSON file")
+    gs = gen_sub.add_parser("support", parents=[seeded],
+                            help="write a spectral support JSON file")
     gs.add_argument("--t", type=int, required=True, help="time length T")
     gs.add_argument("--n", type=int, required=True, help="vertex count N")
     gs.add_argument("--pairs", help='explicit pairs "jt,jg;jt,jg;..." (0-based)')
     gs.add_argument("--kt", type=int, default=None)
     gs.add_argument("--kg", type=int, default=None)
     gs.add_argument("--k", type=int, default=None)
-    gs.add_argument("--seed", type=int, default=None)
     gs.add_argument("--out", "-o", required=True)
     gs.set_defaults(func=cmd_gen_support)
 
-    gx = gen_sub.add_parser("signal", help="synthesize a bandlimited signal CSV")
-    gx.add_argument("--graph-t", required=False)
-    gx.add_argument("--graph-g", required=False)
+    gx = gen_sub.add_parser("signal", parents=[bases, seeded],
+                            help="synthesize a bandlimited signal CSV")
     gx.add_argument("--support", required=True)
-    gx.add_argument("--basis-file", default=None)
-    gx.add_argument("--seed", type=int, default=None)
     gx.add_argument("--out", "-o", required=True)
     gx.set_defaults(func=cmd_gen_signal)
 
@@ -296,11 +278,8 @@ def build_parser():
     an.add_argument("--out", "-o", default=None)
     an.set_defaults(func=cmd_analyze)
 
-    pl = sub.add_parser("plan", help="construct a critical sampling plan")
-    pl.add_argument("--graph-t")
-    pl.add_argument("--graph-g")
+    pl = sub.add_parser("plan", parents=[bases], help="construct a critical sampling plan")
     pl.add_argument("--support", required=True)
-    pl.add_argument("--basis-file", default=None)
     pl.add_argument("--schedule", default=None, help="write per-vertex schedule here")
     pl.add_argument("--out", "-o", required=True)
     pl.set_defaults(func=cmd_plan)
@@ -311,36 +290,29 @@ def build_parser():
     sm.add_argument("--out", "-o", required=True)
     sm.set_defaults(func=cmd_sample)
 
-    rc = sub.add_parser("reconstruct", help="recover a signal from samples")
-    rc.add_argument("--graph-t")
-    rc.add_argument("--graph-g")
+    rc = sub.add_parser("reconstruct", parents=[bases], help="recover a signal from samples")
     rc.add_argument("--support", required=True)
     rc.add_argument("--plan", required=True)
     rc.add_argument("--samples", required=True)
-    rc.add_argument("--basis-file", default=None)
     rc.add_argument("--reference", default=None, help="original signal for error check")
     rc.add_argument("--out", "-o", required=True)
     rc.set_defaults(func=cmd_reconstruct)
 
-    vf = sub.add_parser("verify", help="check plan qualification, optionally by enumeration")
-    vf.add_argument("--graph-t")
-    vf.add_argument("--graph-g")
+    vf = sub.add_parser("verify", parents=[bases],
+                        help="check plan qualification, optionally by enumeration")
     vf.add_argument("--support", required=True)
-    vf.add_argument("--basis-file", default=None)
     vf.add_argument("--exhaustive", action="store_true")
     vf.add_argument("--max-size", type=int, default=None)
     vf.add_argument("--trials", type=int, default=200, help="monotonicity trials")
     vf.add_argument("--out", "-o", default=None)
-    vf.set_defaults(func=cmd_verify)
+    # no --seed flag: the monotonicity trials always draw from $JTV_SEED
+    vf.set_defaults(func=cmd_verify, seed=None)
 
-    bn = sub.add_parser("bench", help="time factored vs naive row selection")
+    bn = sub.add_parser("bench", parents=[bases, seeded],
+                        help="time factored vs naive row selection")
     bn.add_argument("--sizes", default="16,24,32", help="comma-separated n with T=N=n")
-    bn.add_argument("--graph-t")
-    bn.add_argument("--graph-g")
     bn.add_argument("--support", default=None, help="bench one explicit instance")
-    bn.add_argument("--basis-file", default=None)
     bn.add_argument("--repeats", type=int, default=3)
-    bn.add_argument("--seed", type=int, default=None)
     bn.add_argument("--out", "-o", required=True)
     bn.set_defaults(func=cmd_bench)
 
@@ -351,6 +323,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "seed" in args and args.seed is None:
+            args.seed = int(os.environ.get(SEED_ENV, "0"))
         return args.func(args)
     except (sampling.UnqualifiedPlanError, sampling.IllConditionedError,
             sampling.RankDeficiencyError) as exc:

@@ -184,22 +184,24 @@ def exhaustive_check(uj: np.ndarray, support: SpectralSupport,
 
 def subset_rank(uj: np.ndarray, subset) -> int:
     """Rank of the joint basis restricted to the given linear indices."""
-    subset = sorted(subset)
-    if not subset:
-        return 0
-    return elimination_rank(np.asarray(uj, dtype=float)[subset])
+    return elimination_rank(np.asarray(uj, dtype=float)[sorted(subset)])
 
 
 def check_monotonicity(uj: np.ndarray, trials: int, rng=None) -> bool:
     """Rank never drops when a sample set grows: random nested pairs S1 in S2.
 
-    Each subset is sorted and zero-padded to ``nt`` rows, and the pairs of
-    ``BLOCK // 8`` trials are ranked in one stacked call. Zero rows never pass
-    the pivot test nor beat a real row as pivot, and leave the scale alone, so
-    padding does not change a rank.
+    A trial draws a size for S2, one for S1 no larger, and a random order of
+    the ``nt`` rows; each set is a prefix of that order, so S1 is in S2. A set
+    is ranked as ``uj`` with the rows outside it zeroed, which keeps its rows
+    in order: zero rows never pass the pivot test nor beat a real row as
+    pivot. Each matrix also gets a last row and column holding ``max |uj|``
+    alone, which adds exactly 1 to its rank and makes ``uj``'s scale its own,
+    so every set is ranked against ``uj``'s scale. Against its own scale a set
+    of round-off rows can reach full rank and lose it when a real row joins.
+    The pairs of ``BLOCK // 8`` trials are ranked in one stacked call.
     """
     uj = np.asarray(uj, dtype=float)
-    nt = uj.shape[0]
+    nt, k = uj.shape
     if nt > MAX_JOINT_VERTICES:
         raise ValueError(
             f"enumeration limited to {MAX_JOINT_VERTICES} joint vertices, got {nt}"
@@ -208,22 +210,20 @@ def check_monotonicity(uj: np.ndarray, trials: int, rng=None) -> bool:
         raise ValueError(f"monotonicity needs at least 1 trial, got {trials}")
     if rng is None:
         rng = np.random.default_rng(0)
-    # index nt selects the zero row appended below
-    padded = np.vstack([uj, np.zeros((1, uj.shape[1]))])
-    # a trial ranks two subsets padded to nt rows, about 8 times the rows of
-    # one enumerated subset at the size limit, so a call takes fewer trials
+    # a trial ranks two nt-row matrices, about 8 times the rows of one
+    # enumerated subset at the size limit, so a call takes fewer trials
     per_call = BLOCK // 8
+    stack = np.zeros((2, per_call, nt + 1, k + 1))
+    stack[..., nt, k] = np.abs(uj).max(initial=0.0)
     for first in range(0, trials, per_call):
         count = min(per_call, trials - first)
-        idx = np.full((2, count, nt), nt, dtype=np.intp)
-        for j in range(count):
-            big_size = int(rng.integers(0, nt + 1))
-            big = rng.choice(nt, size=big_size, replace=False) if big_size else np.array([], dtype=int)
-            small_size = int(rng.integers(0, big_size + 1))
-            small = rng.choice(big, size=small_size, replace=False) if small_size else np.array([], dtype=int)
-            idx[0, j, :small_size] = np.sort(small)
-            idx[1, j, :big_size] = np.sort(big)
-        small_rank, big_rank = elimination_rank(padded[idx])
+        big = rng.integers(0, nt + 1, size=count)
+        small = rng.integers(0, big + 1)
+        # place[j, r] is row r's place in trial j's random order
+        place = rng.permuted(np.broadcast_to(np.arange(nt), (count, nt)), axis=1)
+        member = place < np.stack([small, big])[:, :, None]
+        stack[:, :count, :nt, :k] = uj * member[..., None]
+        small_rank, big_rank = elimination_rank(stack[:, :count])
         if np.any(small_rank > big_rank):
             return False
     return True

@@ -101,14 +101,19 @@ def joint_columns_from_restricted(ut_r: np.ndarray, ug_r: np.ndarray, support) -
     Column for support pair (j_t, j_g) is the Kronecker product of the
     corresponding columns; column order follows the support's canonical
     (j_t, j_g) sort. Shape is (N*T, K) without ever forming the full product
-    basis.
+    basis. Raises ``ValueError`` unless ``ut_r`` is (T, K_T) and ``ug_r`` is
+    (N, K_G).
     """
     ut_r = np.asarray(ut_r, dtype=float)
     ug_r = np.asarray(ug_r, dtype=float)
+    want_t, want_g = (support.t_dim, support.k_t), (support.g_dim, support.k_g)
+    if ut_r.shape != want_t or ug_r.shape != want_g:
+        raise ValueError(
+            f"restricted bases of shapes {ut_r.shape}, {ug_r.shape} do not match "
+            f"the support's dims and bandwidths {want_t}, {want_g}"
+        )
     tpos = {f: i for i, f in enumerate(support.time_freqs)}
     gpos = {f: i for i, f in enumerate(support.graph_freqs)}
-    if ut_r.shape[1] != len(tpos) or ug_r.shape[1] != len(gpos):
-        raise ValueError("restricted bases do not match the support's bandwidths")
     pairs = support.sorted_pairs
     ti = [tpos[jt] for jt, _ in pairs]
     gi = [gpos[jg] for _, jg in pairs]
@@ -119,9 +124,11 @@ def joint_columns_from_restricted(ut_r: np.ndarray, ug_r: np.ndarray, support) -
 
 def joint_basis_columns(basis_t: EigenBasis, basis_g: EigenBasis, support) -> np.ndarray:
     """Joint basis columns selected by a spectral support from full bases."""
-    for jt, jg in support.pairs:
-        if not (0 <= jt < basis_t.dim and 0 <= jg < basis_g.dim):
-            raise ValueError(f"support pair ({jt}, {jg}) out of range")
+    if (basis_t.dim, basis_g.dim) != (support.t_dim, support.g_dim):
+        raise ValueError(
+            f"support of dims ({support.t_dim}, {support.g_dim}) is out of range "
+            f"for bases of dims ({basis_t.dim}, {basis_g.dim})"
+        )
     ut_r = basis_t.vectors[:, support.time_freqs]
     ug_r = basis_g.vectors[:, support.graph_freqs]
     return joint_columns_from_restricted(ut_r, ug_r, support)

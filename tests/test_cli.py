@@ -97,6 +97,96 @@ class TestGen:
         assert run("gen", "graph", "--type", "cycle", "--n", 2, "-o", tmp_path / "g.json") == 2
 
 
+SHARED_FLAGS = ("--graph-t", "--graph-g", "--basis-file", "--seed")
+BASIS_FLAGS = ("--graph-t", "--graph-g", "--basis-file")
+
+
+class TestSharedInputs:
+    @pytest.mark.parametrize("command, flags", [
+        (("gen", "graph"), ("--seed",)),
+        (("gen", "support"), ("--seed",)),
+        (("gen", "signal"), BASIS_FLAGS + ("--seed",)),
+        (("analyze",), ("--graph-t", "--graph-g")),
+        (("plan",), BASIS_FLAGS),
+        (("sample",), ()),
+        (("reconstruct",), BASIS_FLAGS),
+        (("verify",), BASIS_FLAGS),
+        (("bench",), BASIS_FLAGS + ("--seed",)),
+    ], ids=" ".join)
+    def test_help_lists_shared_flags(self, capsys, command, flags):
+        # a clash between shared option groups breaks every command's parser
+        with pytest.raises(SystemExit) as exc:
+            run(*command, "--help")
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert [f for f in SHARED_FLAGS if f in text] == list(flags)
+
+    @staticmethod
+    def basis_command(name, tmp, paths, basis):
+        """Arguments of ``name`` reading ``basis``; a reconstruct gets a plan
+        and samples made with the good basis first."""
+        inputs = ["--support", paths["support"], "--basis-file", basis]
+        if name == "reconstruct":
+            good = ["--support", paths["support"], "--basis-file", paths["basis"]]
+            signal, plan, samples = tmp / "x.csv", tmp / "plan.json", tmp / "samples.csv"
+            assert run("gen", "signal", *good, "-o", signal) == 0
+            assert run("plan", *good, "-o", plan) == 0
+            assert run("sample", "--signal", signal, "--plan", plan, "-o", samples) == 0
+            return ["reconstruct", *inputs, "--plan", plan, "--samples", samples]
+        if name == "bench":
+            return ["bench", *inputs, "--repeats", 1]
+        return [*name.split(), *inputs]
+
+    @pytest.mark.parametrize("name", ["gen signal", "plan", "reconstruct", "verify", "bench"])
+    @pytest.mark.parametrize("axis", ["rows", "columns"])
+    def test_wrong_shape_basis_file_exit_2(self, workspace, name, axis):
+        # U_T loses its last row (T = 4), or U_G its last column (K_G = 2)
+        tmp, paths = workspace
+        data = json.loads(paths["basis"].read_text())
+        if axis == "rows":
+            data["U_T"] = data["U_T"][:-1]
+        else:
+            data["U_G"] = [row[:-1] for row in data["U_G"]]
+        basis = tmp / "bad_basis.json"
+        basis.write_text(json.dumps(data))
+        out = tmp / "out.txt"
+        assert run(*self.basis_command(name, tmp, paths, basis), "-o", out) == 2
+        assert not out.exists()
+
+    SEEDED = {
+        "gen graph": lambda p: ["gen", "graph", "--type", "er", "--n", 6],
+        "gen support": lambda p: ["gen", "support", "--t", 4, "--n", 4, "--kt", 2, "--kg", 2],
+        "gen signal": lambda p: ["gen", "signal", "--support", p["support"],
+                                 "--basis-file", p["basis"]],
+    }
+
+    @pytest.mark.parametrize("name", SEEDED)
+    def test_seed_from_env(self, workspace, monkeypatch, name):
+        tmp, paths = workspace
+        argv = self.SEEDED[name](paths)
+        monkeypatch.delenv("JTV_SEED", raising=False)
+        assert run(*argv, "-o", tmp / "unset") == 0
+        assert run(*argv, "--seed", 7, "-o", tmp / "flag") == 0
+        monkeypatch.setenv("JTV_SEED", "7")
+        assert run(*argv, "-o", tmp / "env") == 0
+        assert (tmp / "env").read_bytes() == (tmp / "flag").read_bytes()
+        assert (tmp / "env").read_bytes() != (tmp / "unset").read_bytes()
+
+    @pytest.mark.parametrize("name", [*SEEDED, "bench", "verify"])
+    def test_invalid_env_seed_exit_2(self, workspace, monkeypatch, name):
+        tmp, paths = workspace
+        argv = {
+            "bench": lambda p: ["bench", "--sizes", 6, "--repeats", 1],
+            "verify": lambda p: ["verify", "--support", p["support"],
+                                 "--basis-file", p["basis"], "--exhaustive"],
+            **self.SEEDED,
+        }[name](paths)
+        monkeypatch.setenv("JTV_SEED", "seven")
+        out = tmp / "out.txt"
+        assert run(*argv, "-o", out) == 2
+        assert not out.exists()
+
+
 class TestPlan:
     def test_with_basis_file(self, workspace):
         tmp, paths = workspace

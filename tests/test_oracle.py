@@ -501,9 +501,17 @@ class TestMonotonicity:
         monkeypatch.setattr(oracle, "elimination_rank", planted)
         assert not check_monotonicity(uj, 300, rng=np.random.default_rng(5))
 
+    def test_round_off_rows_keep_rank_monotone(self):
+        # rows 0 and 1 are round-off, as the star centre's rows of a computed
+        # cycle x star basis are: against their own scale they have rank 2,
+        # and with row 2 added, rank 1. Sets are ranked against uj's scale.
+        uj = np.array([[1e-17, 0.0], [0.0, 1e-17], [1.0, 0.0]])
+        assert check_monotonicity(uj, 300, rng=np.random.default_rng(0))
+
     def test_padded_ranks_match_subset_rank(self):
-        # the stacked check ranks sorted, zero-padded subsets; each must have
-        # the rank subset_rank gives the same subset on its own
+        # a stacked check ranks sorted, zero-padded subsets, or uj with the rows
+        # outside each subset zeroed; each must have the rank subset_rank
+        # gives the same subset on its own
         rng = np.random.default_rng(6)
         bt = eig_sym(laplacian(cycle_graph(4)))
         bg = eig_sym(laplacian(random_connected_graph(5, rng)))
@@ -515,4 +523,30 @@ class TestMonotonicity:
         padded = np.zeros((len(subsets), nt, uj.shape[1]))
         for i, s in enumerate(subsets):
             padded[i, : len(s)] = uj[np.sort(s)]
-        assert elimination_rank(padded).tolist() == [subset_rank(uj, s) for s in subsets]
+        masked = np.zeros((len(subsets), nt), dtype=bool)
+        for i, s in enumerate(subsets):
+            masked[i, s] = True
+        want = [subset_rank(uj, s) for s in subsets]
+        assert elimination_rank(padded).tolist() == want
+        assert elimination_rank(uj * masked[..., None]).tolist() == want
+
+    def test_small_sets_nest_in_big_sets(self, monkeypatch):
+        # every row ranked for a trial's small set must be ranked for its big
+        # set too; uj's rows are distinct and nonzero, so their first 3
+        # entries identify them
+        uj = np.random.default_rng(8).normal(size=(12, 3))
+        row_of = {row.tobytes(): i for i, row in enumerate(uj)}
+        rank = oracle.elimination_rank
+        pairs = []
+
+        def checked(stack):
+            small, big = [[{row_of[r[:3].tobytes()] for r in m if r[:3].any()} for m in side]
+                          for side in stack]
+            pairs.extend(zip(small, big))
+            return rank(stack)
+
+        monkeypatch.setattr(oracle, "elimination_rank", checked)
+        assert check_monotonicity(uj, 300, rng=np.random.default_rng(9))
+        assert len(pairs) == 300
+        assert all(s <= b for s, b in pairs)
+        assert any(0 < len(s) < len(b) for s, b in pairs)

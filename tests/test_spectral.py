@@ -13,6 +13,7 @@ from jtvsampling import (
     joint_basis_columns,
     joint_columns_from_restricted,
     laplacian,
+    restrict_bases,
     unvec,
     vec,
 )
@@ -264,3 +265,20 @@ class TestJointBasisColumns:
         support = SpectralSupport(t_dim=3, g_dim=2, pairs=frozenset({(2, 1)}))
         with pytest.raises(ValueError, match="out of range"):
             joint_basis_columns(bt, bg, support)
+
+    @pytest.mark.parametrize("cut", ["time", "graph"])
+    def test_restricted_row_count_mismatch(self, ref, cut):
+        # right bandwidths but a row short of T (or N): the old check took it
+        ut_r = ref.ut_r[:-1] if cut == "time" else ref.ut_r
+        ug_r = ref.ug_r[:-1] if cut == "graph" else ref.ug_r
+        with pytest.raises(ValueError, match="bandwidths"):
+            joint_columns_from_restricted(ut_r, ug_r, ref.support)
+
+    def test_bases_larger_than_support(self, ref, ref_laplacians):
+        # a 5-cycle basis against the T = 4 support used to give a 20 x 3 matrix
+        bt = eig_sym(laplacian(cycle_graph(5)))
+        bg = eig_sym(ref_laplacians[1])
+        with pytest.raises(ValueError, match="out of range"):
+            joint_basis_columns(bt, bg, ref.support)
+        with pytest.raises(ValueError, match="dimensions"):
+            restrict_bases(bt, bg, ref.support)
