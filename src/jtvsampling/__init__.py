@@ -3,7 +3,6 @@
 from .bandlimit import (
     SpectralSupport,
     detect_support,
-    restrict_bases,
     synth_from_restricted,
     synth_signal,
 )
@@ -28,6 +27,7 @@ from .spectral import (
     jft,
     joint_basis_columns,
     joint_columns_from_restricted,
+    restrict_bases,
     unvec,
     vec,
 )

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import EigenBasis
+from .spectral import EigenBasis, _check_restricted, restrict_bases
 
 
 @dataclass(frozen=True)
@@ -107,15 +107,6 @@ def detect_support(xf_mat: np.ndarray, eps: float = 1e-8) -> SpectralSupport:
     return SpectralSupport(t_dim=t, g_dim=n, pairs=pairs)
 
 
-def restrict_bases(basis_t: EigenBasis, basis_g: EigenBasis, support: SpectralSupport):
-    """Columns of the two bases at the occupied frequencies, ascending order."""
-    if basis_t.dim != support.t_dim or basis_g.dim != support.g_dim:
-        raise ValueError("bases do not match the support's dimensions")
-    ut_r = basis_t.vectors[:, support.time_freqs]
-    ug_r = basis_g.vectors[:, support.graph_freqs]
-    return ut_r, ug_r
-
-
 def coeffs_to_matrix(support: SpectralSupport, coeffs: dict) -> np.ndarray:
     """Dense K_G x K_T coefficient block from a pair -> value mapping."""
     if set(coeffs) != support.pairs:
@@ -136,9 +127,11 @@ def coeffs_to_matrix(support: SpectralSupport, coeffs: dict) -> np.ndarray:
 
 def synth_from_restricted(ut_r: np.ndarray, ug_r: np.ndarray,
                           support: SpectralSupport, coeffs: dict) -> np.ndarray:
-    """N x T signal with the given spectrum, built from restricted bases."""
+    """N x T signal with the given spectrum, built from restricted bases, which
+    must be (T, K_T) and (N, K_G)."""
+    ut_r, ug_r = _check_restricted(ut_r, ug_r, support)
     block = coeffs_to_matrix(support, coeffs)
-    return np.asarray(ug_r) @ block @ np.asarray(ut_r).T
+    return ug_r @ block @ ut_r.T
 
 
 def synth_signal(basis_t: EigenBasis, basis_g: EigenBasis,

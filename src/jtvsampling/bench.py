@@ -11,7 +11,7 @@ from .bandlimit import SpectralSupport, restrict_bases
 from .generate import random_connected_graph, random_support
 from .graphs import cycle_graph, laplacian
 from .sampling import critical_sampling_set, max_lin_indep_rows
-from .spectral import eig_sym, joint_basis_columns
+from .spectral import eig_sym, joint_columns_from_restricted
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def prepare_case(n: int, seed: int = 0, k_t: int = None, k_g: int = None):
     k = (max(k_t, k_g) + k_t * k_g + 1) // 2
     support = random_support(n, n, rng, k_t=k_t, k_g=k_g, k=k)
     ut_r, ug_r = restrict_bases(basis_t, basis_g, support)
-    uj = joint_basis_columns(basis_t, basis_g, support)
+    uj = joint_columns_from_restricted(ut_r, ug_r, support)
     return ut_r, ug_r, uj, support
 
 

@@ -5,6 +5,7 @@ plan, rank deficiency, reconstruction failure).
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -168,28 +169,13 @@ def cmd_reconstruct(args):
 def cmd_verify(args):
     support, ut_r, ug_r, uj = _load_pipeline(args)
     plan, report = sampling.critical_sampling_set(ut_r, ug_r, uj, support)
-    out = {
-        "K": report.k,
-        "K_T": report.k_t,
-        "K_G": report.k_g,
-        "rank": report.rank,
-        "qualified": report.qualified,
-        "critical": report.critical,
-    }
+    out = fileio._report_fields(report)
     code = EXIT_OK if report.critical else EXIT_THEORY
     if args.exhaustive:
         max_size = args.max_size if args.max_size is not None else support.k
         ex = oracle.exhaustive_check(uj, support, max_size=max_size)
-        out["exhaustive"] = {
-            "min_qualified_size": ex.min_qualified_size,
-            "count_qualified_at_k": ex.count_qualified_at_k,
-            "violations": [list(v) for v in ex.violations],
-            "exists_critical_set": ex.exists_critical_set,
-            "floor_t": support.floor_t,
-            "floor_g": support.floor_g,
-            "min_proj_t": ex.min_proj_t,
-            "min_proj_g": ex.min_proj_g,
-        }
+        out["exhaustive"] = {**dataclasses.asdict(ex),
+                             "floor_t": support.floor_t, "floor_g": support.floor_g}
         mono = oracle.check_monotonicity(
             uj, args.trials, rng=np.random.default_rng(args.seed)
         )
@@ -198,11 +184,9 @@ def cmd_verify(args):
         wrong_min = max_size >= support.k and ex.min_qualified_size != support.k
         if ex.violations or wrong_min or not mono:
             code = EXIT_THEORY
-    text = json.dumps(out, sort_keys=True, indent=2)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+        fileio._dump_json(out, args.out)
+    print(json.dumps(out, sort_keys=True, indent=2))
     return code
 
 

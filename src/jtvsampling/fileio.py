@@ -19,9 +19,14 @@ def _dump_json(obj, path):
         fh.write("\n")
 
 
-def _load_json(path):
+def _load_json(path, kind, build):
+    """``build(data)`` of the JSON in ``path``; KeyError / TypeError mean a malformed file."""
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    try:
+        return build(data)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed {kind} file {path}: {exc}") from exc
 
 
 def save_graph(g: Graph, path):
@@ -29,11 +34,9 @@ def save_graph(g: Graph, path):
 
 
 def load_graph(path) -> Graph:
-    data = _load_json(path)
-    try:
-        return Graph(int(data["n"]), tuple(tuple(e) for e in data["edges"]))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed graph file {path}: {exc}") from exc
+    return _load_json(path, "graph", lambda data: Graph(
+        int(data["n"]), tuple(tuple(e) for e in data["edges"])
+    ))
 
 
 def save_support(s: SpectralSupport, path):
@@ -44,15 +47,11 @@ def save_support(s: SpectralSupport, path):
 
 
 def load_support(path) -> SpectralSupport:
-    data = _load_json(path)
-    try:
-        return SpectralSupport(
-            t_dim=int(data["T"]),
-            g_dim=int(data["N"]),
-            pairs=frozenset(tuple(p) for p in data["pairs"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed support file {path}: {exc}") from exc
+    return _load_json(path, "support", lambda data: SpectralSupport(
+        t_dim=int(data["T"]),
+        g_dim=int(data["N"]),
+        pairs=frozenset(tuple(p) for p in data["pairs"]),
+    ))
 
 
 def save_signal(x_mat: np.ndarray, path):
@@ -67,6 +66,18 @@ def load_signal(path) -> np.ndarray:
     return x
 
 
+def _report_fields(report: QualificationReport) -> dict:
+    """The qualification keys of a plan file and of ``jtv verify``'s report."""
+    return {
+        "K": report.k,
+        "K_T": report.k_t,
+        "K_G": report.k_g,
+        "rank": report.rank,
+        "qualified": report.qualified,
+        "critical": report.critical,
+    }
+
+
 def save_plan(plan: SamplingPlan, report: QualificationReport, path):
     _dump_json(
         {
@@ -75,27 +86,18 @@ def save_plan(plan: SamplingPlan, report: QualificationReport, path):
             "samples": [list(s) for s in plan.sorted_samples],
             "s_t": list(plan.proj_t),
             "s_g": list(plan.proj_g),
-            "K": report.k,
-            "K_T": report.k_t,
-            "K_G": report.k_g,
-            "rank": report.rank,
-            "qualified": report.qualified,
-            "critical": report.critical,
+            **_report_fields(report),
         },
         path,
     )
 
 
 def load_plan(path) -> SamplingPlan:
-    data = _load_json(path)
-    try:
-        return SamplingPlan(
-            t_dim=int(data["T"]),
-            g_dim=int(data["N"]),
-            samples=frozenset(tuple(s) for s in data["samples"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed plan file {path}: {exc}") from exc
+    return _load_json(path, "plan", lambda data: SamplingPlan(
+        t_dim=int(data["T"]),
+        g_dim=int(data["N"]),
+        samples=frozenset(tuple(s) for s in data["samples"]),
+    ))
 
 
 def save_samples(plan: SamplingPlan, values: np.ndarray, path):
@@ -141,12 +143,10 @@ def save_basis_pair(ut_r: np.ndarray, ug_r: np.ndarray, path):
 
 
 def load_basis_pair(path):
-    data = _load_json(path)
-    try:
-        ut_r = np.array(data["U_T"], dtype=float)
-        ug_r = np.array(data["U_G"], dtype=float)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed basis file {path}: {exc}") from exc
+    ut_r, ug_r = _load_json(path, "basis", lambda data: (
+        np.array(data["U_T"], dtype=float),
+        np.array(data["U_G"], dtype=float),
+    ))
     if ut_r.ndim != 2 or ug_r.ndim != 2:
         raise ValueError(f"basis file {path} must hold two matrices")
     if not (np.all(np.isfinite(ut_r)) and np.all(np.isfinite(ug_r))):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandlimit import SpectralSupport
-from .spectral import unvec
+from .spectral import _check_restricted, unvec
 
 ROW_SELECT_EPS = 1e-9
 COND_LIMIT = 1e12
@@ -203,14 +203,9 @@ def critical_sampling_set(ut_r: np.ndarray, ug_r: np.ndarray, uj: np.ndarray,
     guaranteed: a plan that misses a slot or vertex is still qualified and of
     minimal size K, but not critical, and the report says so.
     """
-    ut_r = np.asarray(ut_r, dtype=float)
-    ug_r = np.asarray(ug_r, dtype=float)
+    ut_r, ug_r = _check_restricted(ut_r, ug_r, support)
     uj = np.asarray(uj, dtype=float)
     t_dim, g_dim = support.t_dim, support.g_dim
-    if ut_r.shape != (t_dim, support.k_t):
-        raise ValueError(f"time basis shape {ut_r.shape} does not match support")
-    if ug_r.shape != (g_dim, support.k_g):
-        raise ValueError(f"graph basis shape {ug_r.shape} does not match support")
     if uj.shape != (t_dim * g_dim, support.k):
         raise ValueError(f"joint basis shape {uj.shape} does not match support")
 
@@ -227,13 +222,17 @@ def critical_sampling_set(ut_r: np.ndarray, ug_r: np.ndarray, uj: np.ndarray,
     return plan, qualify(plan, uj, support)
 
 
+def _sampled_block(plan: SamplingPlan, uj: np.ndarray, support: SpectralSupport):
+    """Rows of ``uj`` at the plan's samples; ValueError if plan and support dims differ."""
+    if plan.t_dim != support.t_dim or plan.g_dim != support.g_dim:
+        raise ValueError("plan and support dimensions disagree")
+    return np.asarray(uj, dtype=float)[plan.linear_indices()]
+
+
 def qualify(plan: SamplingPlan, uj: np.ndarray, support: SpectralSupport) -> QualificationReport:
     """Rank of the joint basis restricted to the plan's samples, with the
     qualified / critical verdicts."""
-    uj = np.asarray(uj, dtype=float)
-    if plan.t_dim != support.t_dim or plan.g_dim != support.g_dim:
-        raise ValueError("plan and support dimensions disagree")
-    sub = uj[plan.linear_indices()]
+    sub = _sampled_block(plan, uj, support)
     rank = int(np.linalg.matrix_rank(sub))
     return QualificationReport(
         rank=rank,
@@ -276,17 +275,17 @@ def reconstruct_coefficients(values: np.ndarray, plan: SamplingPlan,
 
     One thin SVD of the sampled block gives its rank (``matrix_rank``'s
     default tolerance), its condition number and the least-squares solution,
-    which is exact for critical-sized plans. Refuses unqualified plans,
-    near-singular systems and samples large enough to overflow the solve.
+    which is exact for critical-sized plans. Refuses plans whose dims are not
+    the support's, unqualified plans, near-singular systems and samples large
+    enough to overflow the solve.
     """
     values = np.asarray(values, dtype=float)
-    uj = np.asarray(uj, dtype=float)
     if values.shape != (plan.size,):
         raise ValueError(
             f"got {values.shape[0] if values.ndim == 1 else values.shape} sample "
             f"values for a plan of size {plan.size}"
         )
-    sub = uj[plan.linear_indices()]
+    sub = _sampled_block(plan, uj, support)
     u, s, vt = np.linalg.svd(sub, full_matrices=False)
     rank = int(np.count_nonzero(s > s[0] * max(sub.shape) * np.finfo(float).eps))
     if rank < support.k:

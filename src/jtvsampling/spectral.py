@@ -95,6 +95,29 @@ def ijft(basis_t: EigenBasis, basis_g: EigenBasis, xf_mat: np.ndarray) -> np.nda
     return basis_g.vectors @ xf_mat @ basis_t.vectors.T
 
 
+def restrict_bases(basis_t: EigenBasis, basis_g: EigenBasis, support):
+    """Columns of the two bases at the occupied frequencies, ascending order."""
+    if (basis_t.dim, basis_g.dim) != (support.t_dim, support.g_dim):
+        raise ValueError(f"support of dims ({support.t_dim}, {support.g_dim}) is out of "
+                         f"range for bases of dimensions ({basis_t.dim}, {basis_g.dim})")
+    ut_r = basis_t.vectors[:, support.time_freqs]
+    ug_r = basis_g.vectors[:, support.graph_freqs]
+    return ut_r, ug_r
+
+
+def _check_restricted(ut_r, ug_r, support):
+    """Float ``ut_r``, ``ug_r``; ``ValueError`` unless they are (T, K_T), (N, K_G)."""
+    ut_r = np.asarray(ut_r, dtype=float)
+    ug_r = np.asarray(ug_r, dtype=float)
+    want_t, want_g = (support.t_dim, support.k_t), (support.g_dim, support.k_g)
+    if ut_r.shape != want_t or ug_r.shape != want_g:
+        raise ValueError(
+            f"restricted bases of shapes {ut_r.shape}, {ug_r.shape} do not match "
+            f"the support's dims and bandwidths {want_t}, {want_g}"
+        )
+    return ut_r, ug_r
+
+
 def joint_columns_from_restricted(ut_r: np.ndarray, ug_r: np.ndarray, support) -> np.ndarray:
     """Joint basis columns built from the restricted time / graph bases.
 
@@ -104,14 +127,7 @@ def joint_columns_from_restricted(ut_r: np.ndarray, ug_r: np.ndarray, support) -
     basis. Raises ``ValueError`` unless ``ut_r`` is (T, K_T) and ``ug_r`` is
     (N, K_G).
     """
-    ut_r = np.asarray(ut_r, dtype=float)
-    ug_r = np.asarray(ug_r, dtype=float)
-    want_t, want_g = (support.t_dim, support.k_t), (support.g_dim, support.k_g)
-    if ut_r.shape != want_t or ug_r.shape != want_g:
-        raise ValueError(
-            f"restricted bases of shapes {ut_r.shape}, {ug_r.shape} do not match "
-            f"the support's dims and bandwidths {want_t}, {want_g}"
-        )
+    ut_r, ug_r = _check_restricted(ut_r, ug_r, support)
     tpos = {f: i for i, f in enumerate(support.time_freqs)}
     gpos = {f: i for i, f in enumerate(support.graph_freqs)}
     pairs = support.sorted_pairs
@@ -124,11 +140,4 @@ def joint_columns_from_restricted(ut_r: np.ndarray, ug_r: np.ndarray, support) -
 
 def joint_basis_columns(basis_t: EigenBasis, basis_g: EigenBasis, support) -> np.ndarray:
     """Joint basis columns selected by a spectral support from full bases."""
-    if (basis_t.dim, basis_g.dim) != (support.t_dim, support.g_dim):
-        raise ValueError(
-            f"support of dims ({support.t_dim}, {support.g_dim}) is out of range "
-            f"for bases of dims ({basis_t.dim}, {basis_g.dim})"
-        )
-    ut_r = basis_t.vectors[:, support.time_freqs]
-    ug_r = basis_g.vectors[:, support.graph_freqs]
-    return joint_columns_from_restricted(ut_r, ug_r, support)
+    return joint_columns_from_restricted(*restrict_bases(basis_t, basis_g, support), support)

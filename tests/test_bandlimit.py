@@ -153,6 +153,14 @@ class TestSynth:
         with pytest.raises(ValueError, match="zero coefficient"):
             synth_from_restricted(ref.ut_r, ref.ug_r, ref.support, bad)
 
+    @pytest.mark.parametrize("cut", ["short time basis", "tall graph basis"])
+    def test_wrong_height_bases_rejected(self, ref, cut):
+        # used to return a 4 x 3 (or 8 x 4) signal for the T = N = 4 support
+        ut_r = ref.ut_r[:3] if cut == "short time basis" else ref.ut_r
+        ug_r = np.vstack([ref.ug_r, ref.ug_r]) if cut == "tall graph basis" else ref.ug_r
+        with pytest.raises(ValueError, match="dims"):
+            synth_from_restricted(ut_r, ug_r, ref.support, ref.coeffs)
+
     def test_wrong_keys_rejected(self, ref):
         with pytest.raises(ValueError, match="keyed exactly"):
             coeffs_to_matrix(ref.support, {(0, 0): 1.0})

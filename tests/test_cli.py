@@ -330,6 +330,59 @@ class TestRoundTrip:
         assert self.reconstruct_with_samples(workspace, huge, reference=False) == 3
         assert not (tmp / "r.csv").exists()
 
+    def reconstruct_after(self, workspace, edit, reference=False):
+        """Exit code of ``reconstruct`` (with ``--reference x.csv`` if asked)
+        after ``edit`` changed the pipeline's files, and whether it wrote its
+        output. ``edit`` gets the paths of ``x.csv``, ``plan.json`` and
+        ``samples.csv``."""
+        tmp, paths = workspace
+        graphs = ["--graph-t", paths["gt"], "--graph-g", paths["gg"]]
+        files = {name: tmp / name for name in ("x.csv", "plan.json", "samples.csv")}
+        assert run("gen", "signal", *graphs, "--support", paths["support"],
+                   "--seed", 9, "-o", files["x.csv"]) == 0
+        assert run("plan", *graphs, "--support", paths["support"],
+                   "-o", files["plan.json"]) == 0
+        assert run("sample", "--signal", files["x.csv"], "--plan", files["plan.json"],
+                   "-o", files["samples.csv"]) == 0
+        edit(files)
+        check = ["--reference", files["x.csv"]] if reference else []
+        out = tmp / "r.csv"
+        code = run("reconstruct", *graphs, "--support", paths["support"],
+                   "--plan", files["plan.json"], "--samples", files["samples.csv"],
+                   *check, "-o", out)
+        return code, out.exists()
+
+    @staticmethod
+    def rewrite(path, old, new):
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+
+    def test_plan_dims_differ_from_support_exit_2(self, workspace):
+        # the plan's points indexed with N = 5 read other rows of the joint
+        # basis: this used to exit 0 with a wrong signal (max-abs error 9.6e-4)
+        edit = lambda f: self.rewrite(f["plan.json"], '"N": 4', '"N": 5')
+        assert self.reconstruct_after(workspace, edit) == (2, False)
+
+    def test_samples_points_differ_from_plan_exit_2(self, workspace):
+        edit = lambda f: self.rewrite(f["samples.csv"], "0,0,", "0,3,")
+        assert self.reconstruct_after(workspace, edit) == (2, False)
+
+    def test_reference_of_wrong_shape_exit_2(self, workspace):
+        def edit(files):
+            x = fileio.load_signal(files["x.csv"])
+            fileio.save_signal(x[:, :-1], files["x.csv"])
+        code, _ = self.reconstruct_after(workspace, edit, reference=True)
+        assert code == 2
+
+    def test_finite_reference_error_above_tolerance_exit_3(self, workspace, capsys):
+        def edit(files):
+            x = fileio.load_signal(files["x.csv"])
+            x[0, 0] += 1e-3 * np.linalg.norm(x)
+            fileio.save_signal(x, files["x.csv"])
+        assert self.reconstruct_after(workspace, edit, reference=True) == (3, True)
+        assert "above tolerance" in capsys.readouterr().err
+
     def test_cycle_er_instance_within_tolerance(self, tmp_path):
         # 32-cycle x 32-vertex ER graph, K = 54: a lowest-index step-3 scan
         # gave this plan cond 6.4e10 and a max-abs error of 7.6e-6, above the

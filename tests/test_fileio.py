@@ -112,3 +112,36 @@ def test_deterministic_bytes(tmp_path, ref):
     fileio.save_support(ref.support, a)
     fileio.save_support(ref.support, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+LOADERS = {
+    "graph": fileio.load_graph,
+    "support": fileio.load_support,
+    "plan": fileio.load_plan,
+    "basis": fileio.load_basis_pair,
+}
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("plan", '{"T": 4, "N": 4}'),
+    ("basis", '{"U_T": [[1.0]]}'),
+    *((kind, "[4, 4, [[0, 0]]]") for kind in LOADERS),
+])
+def test_malformed_json_rejected(tmp_path, kind, text):
+    # a missing key, or a JSON list where an object belongs
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"malformed {kind} file"):
+        LOADERS[kind](path)
+
+
+@pytest.mark.parametrize("data", [
+    {"U_T": [1.0, 0.0], "U_G": [[1.0]]},
+    {"U_T": [[1.0]], "U_G": [[[1.0]]]},
+    {"U_T": 1.0, "U_G": [[1.0]]},
+])
+def test_basis_pair_not_matrices_rejected(tmp_path, data):
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="two matrices"):
+        fileio.load_basis_pair(path)

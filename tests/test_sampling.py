@@ -211,6 +211,21 @@ class TestQualify:
         assert rep.rank <= 2
 
 
+@pytest.mark.parametrize("use", [
+    qualify,
+    lambda plan, uj, support: reconstruct_coefficients(np.ones(3), plan, uj, support),
+    lambda plan, uj, support: reconstruct(np.ones(3), plan, uj, support),
+], ids=["qualify", "reconstruct_coefficients", "reconstruct"])
+@pytest.mark.parametrize("dims", [(4, 5), (5, 4), (3, 4)])
+def test_plan_dims_must_match_support(ref, use, dims):
+    # the critical plan's points read with the wrong N (or T) index other rows
+    # of uj; reconstructing from them used to give a wrong signal, no error
+    uj = joint_columns_from_restricted(ref.ut_r, ref.ug_r, ref.support)
+    plan = SamplingPlan(*dims, frozenset({(0, 0), (1, 0), (1, 2)}))
+    with pytest.raises(ValueError, match="dimensions"):
+        use(plan, uj, ref.support)
+
+
 class TestSeparateSampling:
     def test_reference_uses_four_samples(self, ref):
         plan = separate_sampling(ref.ut_r, ref.ug_r)
