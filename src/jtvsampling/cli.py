@@ -6,6 +6,7 @@ plan, rank deficiency, reconstruction failure).
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -42,9 +43,9 @@ def _load_bases(args):
     )
 
 
-def _load_pipeline(args):
-    """The ``--support`` file with its restricted bases and joint basis columns;
-    the bases are computed from the two graphs or injected from a basis file."""
+def _load_restricted(args):
+    """The ``--support`` file with its restricted bases, computed from the two
+    graphs or injected from a basis file."""
     support = fileio.load_support(args.support)
     if args.basis_file:
         ut_r, ug_r = fileio.load_basis_pair(args.basis_file)
@@ -52,8 +53,13 @@ def _load_pipeline(args):
         ut_r, ug_r = bandlimit.restrict_bases(*_load_bases(args), support)
     else:
         raise ValueError("need --graph-t and --graph-g, or --basis-file")
-    uj = spectral.joint_columns_from_restricted(ut_r, ug_r, support)
-    return support, ut_r, ug_r, uj
+    return support, ut_r, ug_r
+
+
+def _load_pipeline(args):
+    """:func:`_load_restricted` plus the joint basis columns."""
+    support, ut_r, ug_r = _load_restricted(args)
+    return support, ut_r, ug_r, spectral.joint_columns_from_restricted(ut_r, ug_r, support)
 
 
 def cmd_gen_graph(args):
@@ -91,7 +97,7 @@ def cmd_gen_support(args):
 
 
 def cmd_gen_signal(args):
-    support, ut_r, ug_r, _ = _load_pipeline(args)
+    support, ut_r, ug_r = _load_restricted(args)
     coeffs = generate.random_coeffs(support, np.random.default_rng(args.seed))
     x_mat = bandlimit.synth_from_restricted(ut_r, ug_r, support, coeffs)
     fileio.save_signal(x_mat, args.out)
@@ -150,12 +156,13 @@ def cmd_reconstruct(args):
         raise ValueError("samples file does not match the plan's sample points")
     support, _, _, uj = _load_pipeline(args)
     x_rec = sampling.reconstruct(values, plan, uj, support)
+    # a bad reference is an input error: refuse it before writing anything
+    x_ref = fileio.load_signal(args.reference) if args.reference else None
+    if x_ref is not None and x_ref.shape != x_rec.shape:
+        raise ValueError("reference signal shape does not match")
     fileio.save_signal(x_rec, args.out)
     print(f"wrote reconstruction to {args.out}")
-    if args.reference:
-        x_ref = fileio.load_signal(args.reference)
-        if x_ref.shape != x_rec.shape:
-            raise ValueError("reference signal shape does not match")
+    if x_ref is not None:
         err = float(np.max(np.abs(x_rec - x_ref)))
         scale = float(np.linalg.norm(x_ref))
         print(f"max-abs-error {err:.3e}")
@@ -235,7 +242,7 @@ def build_parser():
     gg.add_argument("--center", type=int, default=0, help="star center (0-based)")
     gg.add_argument("--p", type=float, default=0.5, help="edge probability for er")
     gg.add_argument("--out", "-o", required=True)
-    gg.set_defaults(func=cmd_gen_graph)
+    gg.set_defaults(cmd="cmd_gen_graph")
 
     gs = gen_sub.add_parser("support", parents=[seeded],
                             help="write a spectral support JSON file")
@@ -246,13 +253,13 @@ def build_parser():
     gs.add_argument("--kg", type=int, default=None)
     gs.add_argument("--k", type=int, default=None)
     gs.add_argument("--out", "-o", required=True)
-    gs.set_defaults(func=cmd_gen_support)
+    gs.set_defaults(cmd="cmd_gen_support")
 
     gx = gen_sub.add_parser("signal", parents=[bases, seeded],
                             help="synthesize a bandlimited signal CSV")
     gx.add_argument("--support", required=True)
     gx.add_argument("--out", "-o", required=True)
-    gx.set_defaults(func=cmd_gen_signal)
+    gx.set_defaults(cmd="cmd_gen_signal")
 
     an = sub.add_parser("analyze", help="detect the spectral support of a signal")
     an.add_argument("--graph-t", required=True)
@@ -260,19 +267,19 @@ def build_parser():
     an.add_argument("--signal", required=True)
     an.add_argument("--eps", type=float, default=1e-8)
     an.add_argument("--out", "-o", default=None)
-    an.set_defaults(func=cmd_analyze)
+    an.set_defaults(cmd="cmd_analyze")
 
     pl = sub.add_parser("plan", parents=[bases], help="construct a critical sampling plan")
     pl.add_argument("--support", required=True)
     pl.add_argument("--schedule", default=None, help="write per-vertex schedule here")
     pl.add_argument("--out", "-o", required=True)
-    pl.set_defaults(func=cmd_plan)
+    pl.set_defaults(cmd="cmd_plan")
 
     sm = sub.add_parser("sample", help="sample a signal at a plan's points")
     sm.add_argument("--signal", required=True)
     sm.add_argument("--plan", required=True)
     sm.add_argument("--out", "-o", required=True)
-    sm.set_defaults(func=cmd_sample)
+    sm.set_defaults(cmd="cmd_sample")
 
     rc = sub.add_parser("reconstruct", parents=[bases], help="recover a signal from samples")
     rc.add_argument("--support", required=True)
@@ -280,7 +287,7 @@ def build_parser():
     rc.add_argument("--samples", required=True)
     rc.add_argument("--reference", default=None, help="original signal for error check")
     rc.add_argument("--out", "-o", required=True)
-    rc.set_defaults(func=cmd_reconstruct)
+    rc.set_defaults(cmd="cmd_reconstruct")
 
     vf = sub.add_parser("verify", parents=[bases],
                         help="check plan qualification, optionally by enumeration")
@@ -290,7 +297,7 @@ def build_parser():
     vf.add_argument("--trials", type=int, default=200, help="monotonicity trials")
     vf.add_argument("--out", "-o", default=None)
     # no --seed flag: the monotonicity trials always draw from $JTV_SEED
-    vf.set_defaults(func=cmd_verify, seed=None)
+    vf.set_defaults(cmd="cmd_verify", seed=None)
 
     bn = sub.add_parser("bench", parents=[bases, seeded],
                         help="time factored vs naive row selection")
@@ -298,18 +305,26 @@ def build_parser():
     bn.add_argument("--support", default=None, help="bench one explicit instance")
     bn.add_argument("--repeats", type=int, default=3)
     bn.add_argument("--out", "-o", required=True)
-    bn.set_defaults(func=cmd_bench)
+    bn.set_defaults(cmd="cmd_bench")
 
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser every :func:`main` call of the process shares."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one ``jtv`` command and return its exit code; may be called
+    repeatedly in one process."""
+    args = _parser().parse_args(argv)
     try:
         if "seed" in args and args.seed is None:
             args.seed = int(os.environ.get(SEED_ENV, "0"))
-        return args.func(args)
+        # looked up at call time, so a rebound cmd_* attribute is the one run
+        return globals()[args.cmd](args)
     except (sampling.UnqualifiedPlanError, sampling.IllConditionedError,
             sampling.RankDeficiencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ from math import prod
 import numpy as np
 
 from .bandlimit import SpectralSupport
+from .spectral import _check_joint
 
 MAX_JOINT_VERTICES = 20
 # Subsets ranked per stacked elimination call: large enough to amortize the
@@ -125,7 +126,6 @@ def exhaustive_check(uj: np.ndarray, support: SpectralSupport,
     Subsets of one size are ranked ``BLOCK`` at a time in lexicographic order,
     so ``violations`` lists them in enumeration order.
     """
-    uj = np.asarray(uj, dtype=float)
     nt = support.t_dim * support.g_dim
     k = support.k
     if max_size is None:
@@ -140,8 +140,7 @@ def exhaustive_check(uj: np.ndarray, support: SpectralSupport,
         )
     if max_size < 1:
         raise ValueError(f"subset size must be at least 1, requested {max_size}")
-    if uj.shape != (nt, k):
-        raise ValueError(f"joint basis shape {uj.shape} does not match support")
+    uj = _check_joint(uj, support)
 
     floor_t, floor_g = support.floor_t, support.floor_g
     min_qualified = None

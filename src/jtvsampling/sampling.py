@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandlimit import SpectralSupport
-from .spectral import _check_restricted, unvec
+from .spectral import _check_joint, _check_restricted, unvec
 
 ROW_SELECT_EPS = 1e-9
 COND_LIMIT = 1e12
@@ -204,10 +204,8 @@ def critical_sampling_set(ut_r: np.ndarray, ug_r: np.ndarray, uj: np.ndarray,
     minimal size K, but not critical, and the report says so.
     """
     ut_r, ug_r = _check_restricted(ut_r, ug_r, support)
-    uj = np.asarray(uj, dtype=float)
+    uj = _check_joint(uj, support)
     t_dim, g_dim = support.t_dim, support.g_dim
-    if uj.shape != (t_dim * g_dim, support.k):
-        raise ValueError(f"joint basis shape {uj.shape} does not match support")
 
     sel_t, sel_g = _factor_rows(ut_r, ug_r)
     product = [(t, v) for t in sel_t for v in sel_g]
@@ -223,10 +221,11 @@ def critical_sampling_set(ut_r: np.ndarray, ug_r: np.ndarray, uj: np.ndarray,
 
 
 def _sampled_block(plan: SamplingPlan, uj: np.ndarray, support: SpectralSupport):
-    """Rows of ``uj`` at the plan's samples; ValueError if plan and support dims differ."""
+    """Rows of ``uj`` at the plan's samples; ValueError if plan and support dims
+    differ or ``uj`` is not (T*N, K)."""
     if plan.t_dim != support.t_dim or plan.g_dim != support.g_dim:
         raise ValueError("plan and support dimensions disagree")
-    return np.asarray(uj, dtype=float)[plan.linear_indices()]
+    return _check_joint(uj, support)[plan.linear_indices()]
 
 
 def qualify(plan: SamplingPlan, uj: np.ndarray, support: SpectralSupport) -> QualificationReport:

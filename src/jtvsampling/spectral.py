@@ -118,6 +118,16 @@ def _check_restricted(ut_r, ug_r, support):
     return ut_r, ug_r
 
 
+def _check_joint(uj, support):
+    """Float ``uj``; ``ValueError`` unless it is (T*N, K)."""
+    uj = np.asarray(uj, dtype=float)
+    want = (support.t_dim * support.g_dim, support.k)
+    if uj.shape != want:
+        raise ValueError(f"joint basis of shape {uj.shape} does not match "
+                         f"the support's (T*N, K) = {want}")
+    return uj
+
+
 def joint_columns_from_restricted(ut_r: np.ndarray, ug_r: np.ndarray, support) -> np.ndarray:
     """Joint basis columns built from the restricted time / graph bases.
 

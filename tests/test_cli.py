@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from jtvsampling import cycle_graph, laplacian, star_graph
-from jtvsampling import fileio
+from jtvsampling import cli, fileio, spectral
 from jtvsampling.cli import main
 
 
@@ -95,6 +99,20 @@ class TestGen:
 
     def test_cycle_too_small_input_error(self, tmp_path):
         assert run("gen", "graph", "--type", "cycle", "--n", 2, "-o", tmp_path / "g.json") == 2
+
+    def test_signal_builds_no_joint_basis(self, workspace, monkeypatch):
+        # gen signal synthesizes from the restricted bases; only the commands
+        # that select rows or solve need the dense (T*N, K) joint basis
+        tmp, paths = workspace
+
+        def refuse(*args):
+            raise AssertionError("gen signal built the joint basis")
+
+        monkeypatch.setattr(spectral, "joint_columns_from_restricted", refuse)
+        for bases in (["--basis-file", paths["basis"]],
+                      ["--graph-t", paths["gt"], "--graph-g", paths["gg"]]):
+            assert run("gen", "signal", "--support", paths["support"], *bases,
+                       "-o", tmp / "x.csv") == 0
 
 
 SHARED_FLAGS = ("--graph-t", "--graph-g", "--basis-file", "--seed")
@@ -372,8 +390,8 @@ class TestRoundTrip:
         def edit(files):
             x = fileio.load_signal(files["x.csv"])
             fileio.save_signal(x[:, :-1], files["x.csv"])
-        code, _ = self.reconstruct_after(workspace, edit, reference=True)
-        assert code == 2
+        # the output used to be written before the reference was checked
+        assert self.reconstruct_after(workspace, edit, reference=True) == (2, False)
 
     def test_finite_reference_error_above_tolerance_exit_3(self, workspace, capsys):
         def edit(files):
@@ -412,6 +430,70 @@ class TestRoundTrip:
             assert run("gen", "signal", "--graph-t", paths["gt"], "--graph-g", paths["gg"],
                        "--support", paths["support"], "--seed", 3, "-o", out) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.fixture
+def fresh_parser():
+    """No cached parser before or after the test."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+class TestDispatch:
+    def test_parser_not_built_at_import(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        code = "import jtvsampling.cli as c; print(c._parser.cache_info().currsize)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        assert out.stdout.strip() == "0"
+
+    def test_parser_built_once(self, tmp_path, monkeypatch, fresh_parser):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        for n in (4, 5, 6):
+            assert run("gen", "graph", "--type", "cycle", "--n", n,
+                       "-o", tmp_path / f"g{n}.json") == 0
+        assert run("gen", "support", "--t", 4, "--n", 4, "--pairs", "1,1",
+                   "-o", tmp_path / "s.json") == 0
+        assert len(builds) == 1
+
+    def test_rebound_command_is_dispatched(self, tmp_path, monkeypatch):
+        # the benchmark's tracer times each command by rebinding cli.cmd_*
+        # after the parser exists
+        argv = ("gen", "support", "--t", 4, "--n", 4, "--pairs", "1,1", "-o", tmp_path / "s.json")
+        assert run(*argv) == 0
+        (tmp_path / "s.json").unlink()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_gen_support", lambda args: seen.append(args.t) or 7)
+        assert run(*argv) == 7
+        assert seen == [4] and not (tmp_path / "s.json").exists()
+
+    def test_calls_do_not_share_values(self, monkeypatch, fresh_parser):
+        seen = []
+        for name in [n for n in vars(cli) if n.startswith("cmd_")]:
+            monkeypatch.setattr(cli, name, lambda args: seen.append(dict(vars(args))) or 0)
+        monkeypatch.delenv("JTV_SEED", raising=False)
+        calls = [
+            ("gen", "graph", "--type", "er", "--n", 6, "--seed", 5, "--p", 0.3, "-o", "a"),
+            ("gen", "graph", "--type", "cycle", "--n", 4, "-o", "b"),
+            ("verify", "--support", "s", "--exhaustive", "--max-size", 2, "--trials", 5),
+            ("analyze", "--graph-t", "t", "--graph-g", "g", "--signal", "x"),
+            ("verify", "--support", "s"),
+        ]
+        for argv in calls:
+            assert run(*argv) == 0
+        # every call sees what a parser of its own would give it
+        for argv, got in zip(calls, seen):
+            want = vars(cli.build_parser().parse_args([str(a) for a in argv]))
+            if want.get("seed", 0) is None:
+                want["seed"] = 0
+            assert got == want
+        er, cycle, _, analyze, verify = seen
+        assert (er["seed"], er["p"], cycle["seed"], cycle["p"]) == (5, 0.3, 0, 0.5)
+        assert (verify["exhaustive"], verify["max_size"], verify["trials"]) == (False, None, 200)
+        assert "seed" not in analyze and "support" not in analyze
 
 
 class TestVerify:

@@ -7,12 +7,15 @@ show up as a crashed benchmark run, so this reads the benchmark's source with
 ``ast`` and checks every such reference against the package.
 """
 
+import argparse
 import ast
 import importlib
 import inspect
 from pathlib import Path
 
 import pytest
+
+from jtvsampling import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SOURCES = ("tracer.py", "workloads.py")
@@ -87,3 +90,33 @@ def test_reference_resolves(module, attr):
         except TypeError as exc:
             pytest.fail(f"{source}:{call.lineno} calls {module}.{attr} with "
                         f"arguments its signature rejects: {exc}")
+
+
+def _leaf_parsers(parser, words=()):
+    """(command words, parser) of every ``jtv`` subcommand that takes no further one."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(words), parser
+    for sub in subs:
+        for name, child in sub.choices.items():
+            yield from _leaf_parsers(child, (*words, name))
+
+
+LEAVES = dict(_leaf_parsers(cli.build_parser()))
+
+
+@pytest.mark.parametrize("command", sorted(LEAVES))
+def test_command_dispatches_by_name(command):
+    # the tracer times a command by rebinding cli.cmd_*, so the parser must
+    # hold the function's name, which main resolves at call time, not the
+    # function itself
+    name = LEAVES[command].get_default("cmd")
+    assert isinstance(name, str), f"jtv {command} dispatches to {name!r}, not a name"
+    assert callable(getattr(cli, name, None)), f"jtv {command} dispatches to missing cli.{name}"
+
+
+def test_traced_commands_are_dispatched():
+    dispatched = {parser.get_default("cmd") for parser in LEAVES.values()}
+    traced = {attr for module, attr in REFERENCES
+              if module == "jtvsampling.cli" and attr.startswith("cmd_")}
+    assert traced and traced <= dispatched

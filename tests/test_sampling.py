@@ -192,6 +192,11 @@ class TestCriticalSamplingSet:
         with pytest.raises(ValueError, match="shape"):
             critical_sampling_set(ref.ut_r[:3], ref.ug_r, uj, ref.support)
 
+    @pytest.mark.parametrize("bad", ["narrow", "tall"])
+    def test_joint_basis_shape_mismatch(self, ref, bad):
+        with pytest.raises(ValueError, match="joint basis"):
+            critical_sampling_set(ref.ut_r, ref.ug_r, wrong_shape_joint(ref, bad), ref.support)
+
 
 class TestQualify:
     def test_reference_plans(self, ref):
@@ -211,11 +216,14 @@ class TestQualify:
         assert rep.rank <= 2
 
 
-@pytest.mark.parametrize("use", [
+SAMPLED_BLOCK_USES = pytest.mark.parametrize("use", [
     qualify,
     lambda plan, uj, support: reconstruct_coefficients(np.ones(3), plan, uj, support),
     lambda plan, uj, support: reconstruct(np.ones(3), plan, uj, support),
 ], ids=["qualify", "reconstruct_coefficients", "reconstruct"])
+
+
+@SAMPLED_BLOCK_USES
 @pytest.mark.parametrize("dims", [(4, 5), (5, 4), (3, 4)])
 def test_plan_dims_must_match_support(ref, use, dims):
     # the critical plan's points read with the wrong N (or T) index other rows
@@ -224,6 +232,22 @@ def test_plan_dims_must_match_support(ref, use, dims):
     plan = SamplingPlan(*dims, frozenset({(0, 0), (1, 0), (1, 2)}))
     with pytest.raises(ValueError, match="dimensions"):
         use(plan, uj, ref.support)
+
+
+def wrong_shape_joint(ref, bad):
+    """The reference joint basis missing its last column, or with one extra row."""
+    uj = joint_columns_from_restricted(ref.ut_r, ref.ug_r, ref.support)
+    return uj[:, :-1] if bad == "narrow" else np.vstack([uj, uj[:1]])
+
+
+@SAMPLED_BLOCK_USES
+@pytest.mark.parametrize("bad", ["narrow", "tall"])
+def test_joint_basis_must_be_tn_by_k(ref, use, bad):
+    # a narrow uj used to give qualify rank 2 and reconstruct an unqualified
+    # plan (exit 3 from jtv), and qualify accepted a tall one
+    plan = SamplingPlan(4, 4, frozenset({(0, 0), (1, 0), (1, 2)}))
+    with pytest.raises(ValueError, match="joint basis"):
+        use(plan, wrong_shape_joint(ref, bad), ref.support)
 
 
 class TestSeparateSampling:
