@@ -20,6 +20,7 @@ from .sampling import (
 )
 from .spectral import (
     EigenBasis,
+    JointBasis,
     eig_sym,
     gft,
     igft,
@@ -36,6 +37,7 @@ __all__ = [
     "EigenBasis",
     "ExhaustiveReport",
     "Graph",
+    "JointBasis",
     "QualificationReport",
     "SamplingPlan",
     "SpectralSupport",

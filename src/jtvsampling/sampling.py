@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandlimit import SpectralSupport
-from .spectral import _check_joint, _check_restricted, unvec
+from .spectral import JointBasis, _check_joint, _check_restricted, unvec
 
 ROW_SELECT_EPS = 1e-9
 COND_LIMIT = 1e12
@@ -106,6 +106,32 @@ class QualificationReport:
         )
 
 
+class _DenseJoint:
+    """:class:`JointBasis`'s ``rows`` / ``synth`` over a dense (T*N, K) ``uj``;
+    kept only while callers still pass the dense matrix."""
+
+    def __init__(self, uj: np.ndarray, support: SpectralSupport):
+        self.uj, self.support = uj, support
+
+    def rows(self, idx) -> np.ndarray:
+        return self.uj[idx]
+
+    def synth(self, coeffs: np.ndarray) -> np.ndarray:
+        return unvec(self.uj @ coeffs, self.support.g_dim, self.support.t_dim)
+
+
+def _joint(uj, support: SpectralSupport):
+    """``uj`` as a joint basis of ``support``: a :class:`JointBasis` built for
+    it as is, anything else checked by ``_check_joint`` and wrapped densely.
+    ``ValueError`` on a JointBasis of another support or a dense ``uj`` that
+    is not (T*N, K)."""
+    if isinstance(uj, JointBasis):
+        if uj.support != support:
+            raise ValueError("joint basis was built for another support")
+        return uj
+    return _DenseJoint(_check_joint(uj, support), support)
+
+
 def _residual(row: np.ndarray, q: np.ndarray) -> np.ndarray:
     """``row`` minus its projection onto the orthonormal rows of ``q``."""
     resid = row - q.T @ (q @ row)
@@ -188,14 +214,15 @@ def _factor_rows(ut_r: np.ndarray, ug_r: np.ndarray):
     return picks
 
 
-def critical_sampling_set(ut_r: np.ndarray, ug_r: np.ndarray, uj: np.ndarray,
+def critical_sampling_set(ut_r: np.ndarray, ug_r: np.ndarray, uj,
                           support: SpectralSupport):
     """Construct a critical sampling plan from the restricted bases.
 
     Step 1 picks independent time slots and vertices from the small factors,
     step 2 restricts the joint basis to their product (lexicographic (t, v)
     order), step 3 picks K independent rows there and maps them back to sample
-    tuples. Returns the plan with its qualification report.
+    tuples. Returns the plan with its qualification report. ``uj`` is a
+    :class:`JointBasis` or the dense (T*N, K) joint basis.
 
     Step 3 is one coverage-first, max-volume pass (:func:`_coverage_first_rows`):
     each pick takes the product row with the largest residual, preferring rows
@@ -204,12 +231,12 @@ def critical_sampling_set(ut_r: np.ndarray, ug_r: np.ndarray, uj: np.ndarray,
     minimal size K, but not critical, and the report says so.
     """
     ut_r, ug_r = _check_restricted(ut_r, ug_r, support)
-    uj = _check_joint(uj, support)
+    basis = _joint(uj, support)
     t_dim, g_dim = support.t_dim, support.g_dim
 
     sel_t, sel_g = _factor_rows(ut_r, ug_r)
     product = [(t, v) for t in sel_t for v in sel_g]
-    rows = uj[[t * g_dim + v for t, v in product]]
+    rows = basis.rows([t * g_dim + v for t, v in product])
     picked = _coverage_first_rows(rows, len(sel_g))
     if len(picked) != support.k:
         raise RankDeficiencyError(
@@ -220,15 +247,15 @@ def critical_sampling_set(ut_r: np.ndarray, ug_r: np.ndarray, uj: np.ndarray,
     return plan, qualify(plan, uj, support)
 
 
-def _sampled_block(plan: SamplingPlan, uj: np.ndarray, support: SpectralSupport):
+def _sampled_block(plan: SamplingPlan, uj, support: SpectralSupport):
     """Rows of ``uj`` at the plan's samples; ValueError if plan and support dims
-    differ or ``uj`` is not (T*N, K)."""
+    differ or ``uj`` is not a joint basis of ``support``."""
     if plan.t_dim != support.t_dim or plan.g_dim != support.g_dim:
         raise ValueError("plan and support dimensions disagree")
-    return _check_joint(uj, support)[plan.linear_indices()]
+    return _joint(uj, support).rows(plan.linear_indices())
 
 
-def qualify(plan: SamplingPlan, uj: np.ndarray, support: SpectralSupport) -> QualificationReport:
+def qualify(plan: SamplingPlan, uj, support: SpectralSupport) -> QualificationReport:
     """Rank of the joint basis restricted to the plan's samples, with the
     qualified / critical verdicts."""
     sub = _sampled_block(plan, uj, support)
@@ -269,7 +296,7 @@ def sample(x_mat: np.ndarray, plan: SamplingPlan) -> np.ndarray:
 
 
 def reconstruct_coefficients(values: np.ndarray, plan: SamplingPlan,
-                             uj: np.ndarray, support: SpectralSupport) -> np.ndarray:
+                             uj, support: SpectralSupport) -> np.ndarray:
     """Spectral coefficients recovered from sampled values.
 
     One thin SVD of the sampled block gives its rank (``matrix_rank``'s
@@ -303,12 +330,13 @@ def reconstruct_coefficients(values: np.ndarray, plan: SamplingPlan,
     return coeffs
 
 
-def reconstruct(values: np.ndarray, plan: SamplingPlan, uj: np.ndarray,
+def reconstruct(values: np.ndarray, plan: SamplingPlan, uj,
                 support: SpectralSupport) -> np.ndarray:
-    """Full N x T signal recovered from sampled values."""
+    """Full N x T signal recovered from sampled values; ``uj`` is a
+    :class:`JointBasis` or the dense (T*N, K) joint basis."""
     coeffs = reconstruct_coefficients(values, plan, uj, support)
     with np.errstate(over="ignore", invalid="ignore"):
-        x = np.asarray(uj, dtype=float) @ coeffs
+        x = _joint(uj, support).synth(coeffs)
     if not np.all(np.isfinite(x)):
         raise IllConditionedError("reconstructed signal overflows")
-    return unvec(x, support.g_dim, support.t_dim)
+    return x

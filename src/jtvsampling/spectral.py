@@ -128,6 +128,15 @@ def _check_joint(uj, support):
     return uj
 
 
+def _pair_columns(support):
+    """Positions in ``ut_r`` / ``ug_r`` of each support pair's time / graph
+    frequency, in the support's canonical (j_t, j_g) order."""
+    tpos = {f: i for i, f in enumerate(support.time_freqs)}
+    gpos = {f: i for i, f in enumerate(support.graph_freqs)}
+    pairs = support.sorted_pairs
+    return [tpos[jt] for jt, _ in pairs], [gpos[jg] for _, jg in pairs]
+
+
 def joint_columns_from_restricted(ut_r: np.ndarray, ug_r: np.ndarray, support) -> np.ndarray:
     """Joint basis columns built from the restricted time / graph bases.
 
@@ -138,14 +147,39 @@ def joint_columns_from_restricted(ut_r: np.ndarray, ug_r: np.ndarray, support) -
     (N, K_G).
     """
     ut_r, ug_r = _check_restricted(ut_r, ug_r, support)
-    tpos = {f: i for i, f in enumerate(support.time_freqs)}
-    gpos = {f: i for i, f in enumerate(support.graph_freqs)}
-    pairs = support.sorted_pairs
-    ti = [tpos[jt] for jt, _ in pairs]
-    gi = [gpos[jg] for _, jg in pairs]
+    ti, gi = _pair_columns(support)
     # entry (t, v, k) is ut_r[t, ti[k]] * ug_r[v, gi[k]], so row t * N + v of
     # the reshape is np.kron(ut_r[:, ti[k]], ug_r[:, gi[k]])[t * N + v]
     return (ut_r[:, None, ti] * ug_r[None, :, gi]).reshape(-1, len(ti))
+
+
+class JointBasis:
+    """The (T*N, K) joint basis of a support, held as its Kronecker factors.
+
+    Row ``t * N + v`` is ``ut_r[t, ti] * ug_r[v, gi]`` and column k belongs to
+    the support's k-th pair in canonical order, as in
+    :func:`joint_columns_from_restricted`; the N*T x K matrix is never formed.
+    Raises ``ValueError`` unless ``ut_r`` is (T, K_T) and ``ug_r`` is (N, K_G).
+    """
+
+    def __init__(self, ut_r: np.ndarray, ug_r: np.ndarray, support):
+        self.ut_r, self.ug_r = _check_restricted(ut_r, ug_r, support)
+        self.support = support
+        self._ti, self._gi = (np.array(c, dtype=np.intp) for c in _pair_columns(support))
+
+    def rows(self, idx) -> np.ndarray:
+        """Rows at linear indices ``t * N + v``, in the order given; the same
+        single product per entry as the dense columns, so bit-identical."""
+        t, v = np.divmod(np.asarray(idx, dtype=np.intp)[:, None], self.support.g_dim)
+        return self.ut_r[t, self._ti] * self.ug_r[v, self._gi]
+
+    def synth(self, coeffs: np.ndarray) -> np.ndarray:
+        """N x T signal ``ug_r @ C @ ut_r.T``, where C is the K_G x K_T grid
+        holding the K coefficients at their pairs: the dense ``uj @ coeffs``
+        unvectorized."""
+        grid = np.zeros((self.support.k_g, self.support.k_t))
+        grid[self._gi, self._ti] = coeffs
+        return self.ug_r @ grid @ self.ut_r.T
 
 
 def joint_basis_columns(basis_t: EigenBasis, basis_g: EigenBasis, support) -> np.ndarray:

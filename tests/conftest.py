@@ -1,12 +1,25 @@
 """Shared fixtures: the 4x4 cycle-times-star worked instance with its known
-bases, spectrum, and sampling sets."""
+bases, spectrum, and sampling sets.
 
-from dataclasses import dataclass
+The suite runs the BLAS on one thread. Its matrices are tiny, and a second
+BLAS thread only adds hand-off latency whose size varies from call to call,
+which puts noise into the timing comparison of criterion 9.
+"""
 
-import numpy as np
-import pytest
+import os
+import sys
 
-from jtvsampling import SpectralSupport, cycle_graph, laplacian, star_graph
+# the BLAS reads these once, when numpy loads
+assert "numpy" not in sys.modules, "numpy was imported before the BLAS thread count was set"
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from dataclasses import dataclass  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from jtvsampling import SpectralSupport, cycle_graph, laplacian, star_graph  # noqa: E402
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -101,8 +102,8 @@ class TestGen:
         assert run("gen", "graph", "--type", "cycle", "--n", 2, "-o", tmp_path / "g.json") == 2
 
     def test_signal_builds_no_joint_basis(self, workspace, monkeypatch):
-        # gen signal synthesizes from the restricted bases; only the commands
-        # that select rows or solve need the dense (T*N, K) joint basis
+        # gen signal synthesizes from the restricted bases; only the oracle
+        # (verify --exhaustive) and bench need the dense (T*N, K) joint basis
         tmp, paths = workspace
 
         def refuse(*args):
@@ -383,7 +384,14 @@ class TestRoundTrip:
         assert self.reconstruct_after(workspace, edit) == (2, False)
 
     def test_samples_points_differ_from_plan_exit_2(self, workspace):
-        edit = lambda f: self.rewrite(f["samples.csv"], "0,0,", "0,3,")
+        def edit(files):
+            # move the first point in the file, whatever it is, off the plan
+            plan = fileio.load_plan(files["plan.json"])
+            t, v = next((t, v) for t in range(plan.t_dim) for v in range(plan.g_dim)
+                        if (t, v) not in plan.samples)
+            first, rest = files["samples.csv"].read_text().split("\n", 1)
+            value = first.split(",")[2]
+            files["samples.csv"].write_text(f"{t},{v},{value}\n{rest}")
         assert self.reconstruct_after(workspace, edit) == (2, False)
 
     def test_reference_of_wrong_shape_exit_2(self, workspace):
@@ -430,6 +438,63 @@ class TestRoundTrip:
             assert run("gen", "signal", "--graph-t", paths["gt"], "--graph-g", paths["gg"],
                        "--support", paths["support"], "--seed", 3, "-o", out) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestDenseFree:
+    """``jtv`` holds the joint basis as its factors; only the oracle and the
+    naive scan of ``bench`` build the dense (T*N, K) matrix."""
+
+    def test_pipeline_builds_no_dense_joint_basis(self, workspace, monkeypatch):
+        tmp, paths = workspace
+        p = lambda name: tmp / name
+        graphs = ["--graph-t", paths["gt"], "--graph-g", paths["gg"]]
+        inputs = [*graphs, "--support", paths["support"]]
+
+        def refuse(*args):
+            raise AssertionError("the dense joint basis was built")
+
+        monkeypatch.setattr(spectral, "joint_columns_from_restricted", refuse)
+        assert run("gen", "signal", *inputs, "--seed", 9, "-o", p("x.csv")) == 0
+        assert run("plan", *inputs, "-o", p("plan.json")) == 0
+        assert run("sample", "--signal", p("x.csv"), "--plan", p("plan.json"),
+                   "-o", p("samples.csv")) == 0
+        assert run("reconstruct", *inputs, "--plan", p("plan.json"),
+                   "--samples", p("samples.csv"), "--reference", p("x.csv"),
+                   "-o", p("r.csv")) == 0
+        assert run("verify", *inputs, "-o", p("report.json")) == 0
+        monkeypatch.undo()
+        assert run("verify", *inputs, "--exhaustive", "-o", p("report.json")) == 0
+        assert run("bench", *inputs, "--repeats", 1, "-o", p("bench.csv")) == 0
+
+    def test_plan_and_reconstruct_peak_below_dense_basis(self, tmp_path):
+        # T = N = 64 with a full 16 x 16 rectangle: K = 256, and the dense
+        # joint basis alone would take 4096 * 256 * 8 B = 8.4 MB
+        p = lambda name: tmp_path / name
+        inputs = ["--graph-t", p("gt.json"), "--graph-g", p("gg.json"),
+                  "--support", p("support.json")]
+        assert run("gen", "graph", "--type", "cycle", "--n", 64, "-o", p("gt.json")) == 0
+        assert run("gen", "graph", "--type", "er", "--n", 64, "--seed", 3,
+                   "-o", p("gg.json")) == 0
+        assert run("gen", "support", "--t", 64, "--n", 64, "--kt", 16, "--kg", 16,
+                   "--k", 256, "--seed", 3, "-o", p("support.json")) == 0
+        assert run("gen", "signal", *inputs, "--seed", 3, "-o", p("x.csv")) == 0
+        dense = 64 * 64 * 256 * 8
+
+        def peak(*argv):
+            tracemalloc.start()
+            try:
+                assert run(*argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak("plan", *inputs, "--schedule", p("schedule.txt"),
+                    "-o", p("plan.json")) < dense
+        assert run("sample", "--signal", p("x.csv"), "--plan", p("plan.json"),
+                   "-o", p("samples.csv")) == 0
+        assert peak("reconstruct", *inputs, "--plan", p("plan.json"),
+                    "--samples", p("samples.csv"), "--reference", p("x.csv"),
+                    "-o", p("r.csv")) < dense
 
 
 @pytest.fixture
@@ -566,3 +631,4 @@ class TestBench:
         cols = dict(zip(header.split(","), row.split(",")))
         assert cols["samples_critical"] == "3"
         assert cols["samples_separate"] == "4"
+        assert float(cols["time_naive_early"]) > 0

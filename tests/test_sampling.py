@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from jtvsampling import (
+    JointBasis,
     SamplingPlan,
     SpectralSupport,
     critical_sampling_set,
@@ -248,6 +249,50 @@ def test_joint_basis_must_be_tn_by_k(ref, use, bad):
     plan = SamplingPlan(4, 4, frozenset({(0, 0), (1, 0), (1, 2)}))
     with pytest.raises(ValueError, match="joint basis"):
         use(plan, wrong_shape_joint(ref, bad), ref.support)
+
+
+class TestJointBasisInput:
+    """Every entry point gives the same result from a :class:`JointBasis` as
+    from the dense joint basis it stands for."""
+
+    @staticmethod
+    def assert_same_results(ut_r, ug_r, uj, support, rng):
+        basis = JointBasis(ut_r, ug_r, support)
+        plan, report = critical_sampling_set(ut_r, ug_r, uj, support)
+        assert critical_sampling_set(ut_r, ug_r, basis, support) == (plan, report)
+        assert qualify(plan, basis, support) == qualify(plan, uj, support) == report
+        x = synth_from_restricted(ut_r, ug_r, support, random_coeffs(support, rng))
+        values = sample(x, plan)
+        assert np.array_equal(reconstruct_coefficients(values, plan, basis, support),
+                              reconstruct_coefficients(values, plan, uj, support))
+        x_dense = reconstruct(values, plan, uj, support)
+        x_fact = reconstruct(values, plan, basis, support)
+        assert np.linalg.norm(x_fact - x_dense) <= 1e-12 * np.linalg.norm(x)
+
+    def test_reference_instance(self, ref):
+        uj = joint_columns_from_restricted(ref.ut_r, ref.ug_r, ref.support)
+        self.assert_same_results(ref.ut_r, ref.ug_r, uj, ref.support,
+                                 np.random.default_rng(0))
+
+    def test_random_instances(self):
+        # the instances of acceptance criterion 5
+        rng = np.random.default_rng(1)
+        for _ in range(100):
+            t_dim, g_dim = int(rng.integers(3, 9)), int(rng.integers(2, 9))
+            _, _, support, ut_r, ug_r, uj = make_instance(t_dim, g_dim, rng)
+            self.assert_same_results(ut_r, ug_r, uj, support, rng)
+
+    def test_bench_instance(self):
+        ut_r, ug_r, uj, support = bench.prepare_case(48, seed=1)
+        self.assert_same_results(ut_r, ug_r, uj, support, np.random.default_rng(2))
+
+    @SAMPLED_BLOCK_USES
+    def test_basis_of_another_support_rejected(self, ref, use):
+        other = SpectralSupport(4, 4, frozenset({(1, 1), (1, 2), (2, 1)}))
+        basis = JointBasis(ref.ut_r, ref.ug_r, other)
+        plan = SamplingPlan(4, 4, frozenset({(0, 0), (1, 0), (1, 2)}))
+        with pytest.raises(ValueError, match="another support"):
+            use(plan, basis, ref.support)
 
 
 class TestSeparateSampling:

@@ -3,6 +3,7 @@ import pytest
 
 from jtvsampling import (
     EigenBasis,
+    JointBasis,
     SpectralSupport,
     cycle_graph,
     eig_sym,
@@ -187,6 +188,25 @@ class TestJft:
         assert abs(np.linalg.norm(ref.x) - np.linalg.norm(block)) < 1e-3
 
 
+def random_support_instances(rng, count):
+    """Random-factor instances: a rectangle, a sparse subset of it touching
+    every row and column, and a single pair per draw."""
+    for _ in range(count):
+        t, n = (int(v) for v in rng.integers(1, 9, size=2))
+        k_t, k_g = int(rng.integers(1, t + 1)), int(rng.integers(1, n + 1))
+        time_freqs = rng.choice(t, size=k_t, replace=False)
+        graph_freqs = rng.choice(n, size=k_g, replace=False)
+        grid = [(jt, jg) for jt in time_freqs for jg in graph_freqs]
+        sparse = {(jt, graph_freqs[i % k_g]) for i, jt in enumerate(time_freqs)}
+        sparse |= {(time_freqs[i % k_t], jg) for i, jg in enumerate(graph_freqs)}
+        for pairs in (grid, sparse, grid[:1]):
+            support = SpectralSupport(
+                t_dim=t, g_dim=n,
+                pairs=frozenset((int(jt), int(jg)) for jt, jg in pairs),
+            )
+            yield support, rng.normal(size=(t, support.k_t)), rng.normal(size=(n, support.k_g))
+
+
 class TestJointBasisColumns:
     def test_reference_product_rows(self, ref):
         uj = joint_columns_from_restricted(ref.ut_r, ref.ug_r, ref.support)
@@ -228,32 +248,16 @@ class TestJointBasisColumns:
         # one broadcast builds every column; each must equal, bit for bit, the
         # Kronecker product of its restricted time and graph columns
         rng = np.random.default_rng(13)
-        for _ in range(40):
-            t, n = (int(v) for v in rng.integers(1, 9, size=2))
-            k_t, k_g = int(rng.integers(1, t + 1)), int(rng.integers(1, n + 1))
-            time_freqs = rng.choice(t, size=k_t, replace=False)
-            graph_freqs = rng.choice(n, size=k_g, replace=False)
-            grid = [(jt, jg) for jt in time_freqs for jg in graph_freqs]
-            # rectangle, a sparse subset of it touching every row and column,
-            # and a single pair
-            sparse = {(jt, graph_freqs[i % k_g]) for i, jt in enumerate(time_freqs)}
-            sparse |= {(time_freqs[i % k_t], jg) for i, jg in enumerate(graph_freqs)}
-            for pairs in (grid, sparse, grid[:1]):
-                support = SpectralSupport(
-                    t_dim=t, g_dim=n,
-                    pairs=frozenset((int(jt), int(jg)) for jt, jg in pairs),
-                )
-                ut_r = rng.normal(size=(t, support.k_t))
-                ug_r = rng.normal(size=(n, support.k_g))
-                tpos = {f: i for i, f in enumerate(support.time_freqs)}
-                gpos = {f: i for i, f in enumerate(support.graph_freqs)}
-                expected = np.column_stack([
-                    np.kron(ut_r[:, tpos[jt]], ug_r[:, gpos[jg]])
-                    for jt, jg in support.sorted_pairs
-                ])
-                uj = joint_columns_from_restricted(ut_r, ug_r, support)
-                assert uj.shape == (t * n, support.k)
-                assert np.array_equal(uj, expected)
+        for support, ut_r, ug_r in random_support_instances(rng, 40):
+            tpos = {f: i for i, f in enumerate(support.time_freqs)}
+            gpos = {f: i for i, f in enumerate(support.graph_freqs)}
+            expected = np.column_stack([
+                np.kron(ut_r[:, tpos[jt]], ug_r[:, gpos[jg]])
+                for jt, jg in support.sorted_pairs
+            ])
+            uj = joint_columns_from_restricted(ut_r, ug_r, support)
+            assert uj.shape == (support.t_dim * support.g_dim, support.k)
+            assert np.array_equal(uj, expected)
 
     def test_restricted_bandwidth_mismatch(self, ref):
         with pytest.raises(ValueError, match="bandwidths"):
@@ -282,3 +286,40 @@ class TestJointBasisColumns:
             joint_basis_columns(bt, bg, ref.support)
         with pytest.raises(ValueError, match="dimensions"):
             restrict_bases(bt, bg, ref.support)
+
+
+class TestJointBasis:
+    def test_reference_product_rows(self, ref):
+        basis = JointBasis(ref.ut_r, ref.ug_r, ref.support)
+        rows = basis.rows([0 * 4 + 0, 0 * 4 + 2, 1 * 4 + 0, 1 * 4 + 2])
+        assert np.max(np.abs(rows - ref.psi_uj)) < 1e-3
+
+    def test_rows_match_dense_columns_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for support, ut_r, ug_r in random_support_instances(rng, 40):
+            uj = joint_columns_from_restricted(ut_r, ug_r, support)
+            idx = [*rng.permutation(len(uj)), *rng.integers(0, len(uj), size=3)]
+            rows = JointBasis(ut_r, ug_r, support).rows(idx)
+            assert rows.shape == (len(idx), support.k)
+            assert np.array_equal(rows, uj[idx])
+
+    def test_synth_matches_dense_product(self):
+        rng = np.random.default_rng(19)
+        for support, ut_r, ug_r in random_support_instances(rng, 40):
+            uj = joint_columns_from_restricted(ut_r, ug_r, support)
+            coeffs = rng.normal(size=support.k)
+            x = unvec(uj @ coeffs, support.g_dim, support.t_dim)
+            x_syn = JointBasis(ut_r, ug_r, support).synth(coeffs)
+            assert x_syn.shape == (support.g_dim, support.t_dim)
+            assert np.linalg.norm(x_syn - x) <= 1e-12 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("cut", ["time rows", "graph rows", "time columns",
+                                     "graph columns"])
+    def test_wrong_shape_factors_rejected(self, ref, cut):
+        ut_r, ug_r = ref.ut_r, ref.ug_r
+        if cut.startswith("time"):
+            ut_r = ut_r[:-1] if cut.endswith("rows") else ut_r[:, :-1]
+        else:
+            ug_r = ug_r[:-1] if cut.endswith("rows") else ug_r[:, :-1]
+        with pytest.raises(ValueError, match="bandwidths"):
+            JointBasis(ut_r, ug_r, ref.support)
