@@ -5,7 +5,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import EigenBasis, _check_restricted, restrict_bases
+from .graphs import _as_index
+from .spectral import EigenBasis, JointBasis, restrict_bases
+
+
+def _check_index_pairs(obj, attr, item, empty):
+    """Store the dims and index pairs ``attr`` of frozen ``obj`` as ints, the
+    pairs as a frozenset. ``ValueError`` on a non-integral dim or index, on no
+    pairs (message ``empty``) and on an ``item`` outside [0, T) x [0, N)."""
+    t_dim, g_dim = (_as_index(d, "dimension") for d in (obj.t_dim, obj.g_dim))
+    what = f"{item} index"
+    pairs = frozenset((_as_index(a, what), _as_index(b, what))
+                      for a, b in getattr(obj, attr))
+    if not pairs:
+        raise ValueError(empty)
+    for a, b in pairs:
+        if not (0 <= a < t_dim and 0 <= b < g_dim):
+            raise ValueError(f"{item} ({a}, {b}) out of range for dims ({t_dim}, {g_dim})")
+    for name, value in (("t_dim", t_dim), ("g_dim", g_dim), (attr, pairs)):
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)
@@ -23,16 +41,8 @@ class SpectralSupport:
     def __post_init__(self):
         if self.t_dim < 1 or self.g_dim < 1:
             raise ValueError("support dimensions must be positive")
-        pairs = frozenset((int(jt), int(jg)) for jt, jg in self.pairs)
-        if not pairs:
-            raise ValueError("support must contain at least one frequency pair")
-        for jt, jg in pairs:
-            if not (0 <= jt < self.t_dim and 0 <= jg < self.g_dim):
-                raise ValueError(
-                    f"pair ({jt}, {jg}) out of range for dims "
-                    f"({self.t_dim}, {self.g_dim})"
-                )
-        object.__setattr__(self, "pairs", pairs)
+        _check_index_pairs(self, "pairs", "pair",
+                           "support must contain at least one frequency pair")
 
     @property
     def sorted_pairs(self):
@@ -95,6 +105,8 @@ def detect_support(xf_mat: np.ndarray, eps: float = 1e-8) -> SpectralSupport:
 
     ``xf_mat`` rows index graph frequencies and columns time frequencies.
     """
+    if not np.isfinite(eps):
+        raise ValueError(f"threshold eps must be finite, got {eps}")
     if eps <= 0:
         raise ValueError(f"threshold must be positive, got {eps}")
     xf_mat = np.asarray(xf_mat, dtype=float)
@@ -103,35 +115,27 @@ def detect_support(xf_mat: np.ndarray, eps: float = 1e-8) -> SpectralSupport:
         raise ValueError("zero signal has no bandwidth")
     n, t = xf_mat.shape
     rows, cols = np.nonzero(np.abs(xf_mat) > eps * peak)
-    pairs = frozenset((int(jt), int(jg)) for jg, jt in zip(rows, cols))
-    return SpectralSupport(t_dim=t, g_dim=n, pairs=pairs)
+    return SpectralSupport(t_dim=t, g_dim=n, pairs=zip(cols, rows))
 
 
-def coeffs_to_matrix(support: SpectralSupport, coeffs: dict) -> np.ndarray:
-    """Dense K_G x K_T coefficient block from a pair -> value mapping."""
+def _check_keys(support: SpectralSupport, coeffs: dict):
+    """``ValueError`` unless ``coeffs`` is keyed exactly by the support pairs."""
     if set(coeffs) != support.pairs:
         raise ValueError("coefficients must be keyed exactly by the support pairs")
-    tpos = {f: i for i, f in enumerate(support.time_freqs)}
-    gpos = {f: i for i, f in enumerate(support.graph_freqs)}
-    block = np.zeros((support.k_g, support.k_t))
-    for (jt, jg), val in coeffs.items():
-        val = float(val)
-        if val == 0.0:
-            raise ValueError(
-                f"zero coefficient at pair ({jt}, {jg}) would silently shrink "
-                "the bandwidth"
-            )
-        block[gpos[jg], tpos[jt]] = val
-    return block
 
 
 def synth_from_restricted(ut_r: np.ndarray, ug_r: np.ndarray,
                           support: SpectralSupport, coeffs: dict) -> np.ndarray:
     """N x T signal with the given spectrum, built from restricted bases, which
-    must be (T, K_T) and (N, K_G)."""
-    ut_r, ug_r = _check_restricted(ut_r, ug_r, support)
-    block = coeffs_to_matrix(support, coeffs)
-    return ug_r @ block @ ut_r.T
+    must be (T, K_T) and (N, K_G): :meth:`JointBasis.synth` of the coefficients
+    in the support's canonical pair order. A zero coefficient is refused."""
+    basis = JointBasis(ut_r, ug_r, support)
+    _check_keys(support, coeffs)
+    for (jt, jg), val in coeffs.items():
+        if float(val) == 0.0:
+            raise ValueError(f"zero coefficient at pair ({jt}, {jg}) would silently "
+                             "shrink the bandwidth")
+    return basis.synth(np.array([float(coeffs[p]) for p in support.sorted_pairs]))
 
 
 def synth_signal(basis_t: EigenBasis, basis_g: EigenBasis,
@@ -143,8 +147,7 @@ def synth_signal(basis_t: EigenBasis, basis_g: EigenBasis,
 
 def full_spectrum(support: SpectralSupport, coeffs: dict) -> np.ndarray:
     """Dense N x T joint spectrum matrix with the coefficients in place."""
-    if set(coeffs) != support.pairs:
-        raise ValueError("coefficients must be keyed exactly by the support pairs")
+    _check_keys(support, coeffs)
     xf = np.zeros((support.g_dim, support.t_dim))
     for (jt, jg), val in coeffs.items():
         xf[jg, jt] = float(val)

@@ -82,14 +82,11 @@ def benchmark_case(ut_r: np.ndarray, ug_r: np.ndarray, uj: np.ndarray,
     )
 
 
-def prepare_case(n: int, seed: int = 0, k_t: int = None, k_g: int = None):
+def prepare_case(n: int, seed: int = 0):
     """Cycle time graph and random connected vertex graph of size n with a
-    random support; bandwidths default to ceil(n / 4)."""
+    random support of bandwidths K_T = K_G = ceil(n / 4)."""
     rng = np.random.default_rng(seed)
-    if k_t is None:
-        k_t = max(1, math.ceil(n / 4))
-    if k_g is None:
-        k_g = max(1, math.ceil(n / 4))
+    k_t = k_g = max(1, math.ceil(n / 4))
     basis_t = eig_sym(laplacian(cycle_graph(n)))
     basis_g = eig_sym(laplacian(random_connected_graph(n, rng)))
     k = (max(k_t, k_g) + k_t * k_g + 1) // 2

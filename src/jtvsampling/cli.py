@@ -44,8 +44,8 @@ def _load_bases(args):
 
 
 def _load_restricted(args):
-    """The ``--support`` file with its restricted bases, computed from the two
-    graphs or injected from a basis file."""
+    """The joint basis of the ``--support`` file, held as its restricted bases,
+    computed from the two graphs or injected from a basis file."""
     support = fileio.load_support(args.support)
     if args.basis_file:
         ut_r, ug_r = fileio.load_basis_pair(args.basis_file)
@@ -53,13 +53,7 @@ def _load_restricted(args):
         ut_r, ug_r = bandlimit.restrict_bases(*_load_bases(args), support)
     else:
         raise ValueError("need --graph-t and --graph-g, or --basis-file")
-    return support, ut_r, ug_r
-
-
-def _load_pipeline(args):
-    """:func:`_load_restricted` plus the joint basis, held as its factors."""
-    support, ut_r, ug_r = _load_restricted(args)
-    return support, ut_r, ug_r, spectral.JointBasis(ut_r, ug_r, support)
+    return spectral.JointBasis(ut_r, ug_r, support)
 
 
 def cmd_gen_graph(args):
@@ -97,9 +91,9 @@ def cmd_gen_support(args):
 
 
 def cmd_gen_signal(args):
-    support, ut_r, ug_r = _load_restricted(args)
-    coeffs = generate.random_coeffs(support, np.random.default_rng(args.seed))
-    x_mat = bandlimit.synth_from_restricted(ut_r, ug_r, support, coeffs)
+    basis = _load_restricted(args)
+    coeffs = generate.random_coeffs(basis.support, np.random.default_rng(args.seed))
+    x_mat = bandlimit.synth_from_restricted(basis.ut_r, basis.ug_r, basis.support, coeffs)
     fileio.save_signal(x_mat, args.out)
     print(f"wrote {x_mat.shape[0]}x{x_mat.shape[1]} signal to {args.out}")
     return EXIT_OK
@@ -120,8 +114,9 @@ def cmd_analyze(args):
 
 
 def cmd_plan(args):
-    support, ut_r, ug_r, basis = _load_pipeline(args)
-    plan, report = sampling.critical_sampling_set(ut_r, ug_r, basis, support)
+    basis = _load_restricted(args)
+    plan, report = sampling.critical_sampling_set(basis.ut_r, basis.ug_r, basis,
+                                                  basis.support)
     fileio.save_plan(plan, report, args.out)
     lines = [
         f"vertex {v}: " + " ".join(str(t) for t in ts)
@@ -154,8 +149,8 @@ def cmd_reconstruct(args):
     points, values = fileio.load_samples(args.samples)
     if points != list(plan.sorted_samples):
         raise ValueError("samples file does not match the plan's sample points")
-    support, _, _, basis = _load_pipeline(args)
-    x_rec = sampling.reconstruct(values, plan, basis, support)
+    basis = _load_restricted(args)
+    x_rec = sampling.reconstruct(values, plan, basis, basis.support)
     # a bad reference is an input error: refuse it before writing anything
     x_ref = fileio.load_signal(args.reference) if args.reference else None
     if x_ref is not None and x_ref.shape != x_rec.shape:
@@ -174,7 +169,8 @@ def cmd_reconstruct(args):
 
 
 def cmd_verify(args):
-    support, ut_r, ug_r, basis = _load_pipeline(args)
+    basis = _load_restricted(args)
+    ut_r, ug_r, support = basis.ut_r, basis.ug_r, basis.support
     plan, report = sampling.critical_sampling_set(ut_r, ug_r, basis, support)
     out = fileio._report_fields(report)
     code = EXIT_OK if report.critical else EXIT_THEORY
@@ -201,7 +197,8 @@ def cmd_verify(args):
 
 def cmd_bench(args):
     if args.support:
-        support, ut_r, ug_r = _load_restricted(args)
+        basis = _load_restricted(args)
+        ut_r, ug_r, support = basis.ut_r, basis.ug_r, basis.support
         uj = spectral.joint_columns_from_restricted(ut_r, ug_r, support)
         rows = [bench.benchmark_case(ut_r, ug_r, uj, support, repeats=args.repeats)]
     else:

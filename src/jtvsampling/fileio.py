@@ -5,6 +5,7 @@ identical inputs produce byte-identical files.
 """
 
 import json
+import warnings
 
 import numpy as np
 
@@ -35,7 +36,7 @@ def save_graph(g: Graph, path):
 
 def load_graph(path) -> Graph:
     return _load_json(path, "graph", lambda data: Graph(
-        int(data["n"]), tuple(tuple(e) for e in data["edges"])
+        data["n"], tuple(tuple(e) for e in data["edges"])
     ))
 
 
@@ -48,8 +49,8 @@ def save_support(s: SpectralSupport, path):
 
 def load_support(path) -> SpectralSupport:
     return _load_json(path, "support", lambda data: SpectralSupport(
-        t_dim=int(data["T"]),
-        g_dim=int(data["N"]),
+        t_dim=data["T"],
+        g_dim=data["N"],
         pairs=frozenset(tuple(p) for p in data["pairs"]),
     ))
 
@@ -60,7 +61,12 @@ def save_signal(x_mat: np.ndarray, path):
 
 
 def load_signal(path) -> np.ndarray:
-    x = np.loadtxt(path, delimiter=",", ndmin=2)
+    with warnings.catch_warnings():
+        # numpy warns about an empty file, which is refused below
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        x = np.loadtxt(path, delimiter=",", ndmin=2)
+    if not x.size:
+        raise ValueError(f"signal file {path} is empty")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"signal file {path} contains non-finite values")
     return x
@@ -94,8 +100,8 @@ def save_plan(plan: SamplingPlan, report: QualificationReport, path):
 
 def load_plan(path) -> SamplingPlan:
     return _load_json(path, "plan", lambda data: SamplingPlan(
-        t_dim=int(data["T"]),
-        g_dim=int(data["N"]),
+        t_dim=data["T"],
+        g_dim=data["N"],
         samples=frozenset(tuple(s) for s in data["samples"]),
     ))
 

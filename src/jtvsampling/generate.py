@@ -5,16 +5,15 @@ import numpy as np
 from .bandlimit import SpectralSupport
 from .graphs import Graph
 
+MAX_ATTEMPTS = 1000
 
-def random_connected_graph(n: int, rng: np.random.Generator, p: float = 0.5,
-                           max_attempts: int = 1000) -> Graph:
+
+def random_connected_graph(n: int, rng: np.random.Generator, p: float = 0.5) -> Graph:
     """Erdos-Renyi graph with uniform weights in [0.5, 1.5], rejection-sampled
-    until connected."""
+    until connected; ``RuntimeError`` after ``MAX_ATTEMPTS`` draws."""
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
-    if n == 1:
-        return Graph(1, ())
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         edges = []
         for i in range(n):
             for j in range(i + 1, n):
@@ -23,27 +22,24 @@ def random_connected_graph(n: int, rng: np.random.Generator, p: float = 0.5,
         g = Graph(n, tuple(edges))
         if g.is_connected():
             return g
-    raise RuntimeError(f"no connected graph found in {max_attempts} attempts (p={p})")
+    raise RuntimeError(f"no connected graph found in {MAX_ATTEMPTS} attempts (p={p})")
 
 
 def random_support(t_dim: int, g_dim: int, rng: np.random.Generator,
-                   k_t: int = None, k_g: int = None, k: int = None,
-                   sbl: bool = True) -> SpectralSupport:
-    """Random support with the requested projection bandwidths.
+                   k_t: int = None, k_g: int = None, k: int = None) -> SpectralSupport:
+    """Random SBL support with the requested projection bandwidths.
 
     Every occupied time frequency and graph frequency is guaranteed at least
-    one pair, so the realized K_T and K_G match the request exactly. With
-    ``sbl`` the bandwidths stay strictly below the axis lengths.
+    one pair, so the realized K_T and K_G match the request exactly. The
+    bandwidths stay strictly below the axis lengths.
     """
-    t_cap = t_dim - 1 if sbl else t_dim
-    g_cap = g_dim - 1 if sbl else g_dim
-    if t_cap < 1 or g_cap < 1:
+    if t_dim < 2 or g_dim < 2:
         raise ValueError(f"dims ({t_dim}, {g_dim}) too small for an SBL support")
     if k_t is None:
-        k_t = int(rng.integers(1, t_cap + 1))
+        k_t = int(rng.integers(1, t_dim))
     if k_g is None:
-        k_g = int(rng.integers(1, g_cap + 1))
-    if not (1 <= k_t <= t_cap and 1 <= k_g <= g_cap):
+        k_g = int(rng.integers(1, g_dim))
+    if not (1 <= k_t < t_dim and 1 <= k_g < g_dim):
         raise ValueError(f"bandwidths ({k_t}, {k_g}) out of range")
     lo, hi = max(k_t, k_g), k_t * k_g
     if k is None:

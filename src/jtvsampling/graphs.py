@@ -5,9 +5,21 @@ vectorization of an N x T signal matrix.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def _as_index(value, what):
+    """``value`` as an int if it is an integer or an integral float; anything
+    ``int()`` would truncate or convert, such as 1.5 or "1", is a ``ValueError``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -18,15 +30,15 @@ class Graph:
     edges: tuple
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"vertex count must be positive, got {self.n}")
+        n = _as_index(self.n, "vertex count")
+        if n < 1:
+            raise ValueError(f"vertex count must be positive, got {n}")
         norm = []
         seen = set()
-        for edge in self.edges:
-            i, j, w = edge
-            i, j, w = int(i), int(j), float(w)
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
+        for i, j, w in self.edges:
+            i, j, w = _as_index(i, "edge endpoint"), _as_index(j, "edge endpoint"), float(w)
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
             if i == j:
                 raise ValueError(f"self-loop at vertex {i} not allowed")
             if not math.isfinite(w):
@@ -38,6 +50,7 @@ class Graph:
                 raise ValueError(f"duplicate edge {key}")
             seen.add(key)
             norm.append((i, j, w))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(norm))
 
     def adjacency(self):
@@ -48,8 +61,6 @@ class Graph:
         return w
 
     def is_connected(self):
-        if self.n == 1:
-            return True
         adj = [[] for _ in range(self.n)]
         for i, j, _ in self.edges:
             adj[i].append(j)

@@ -17,6 +17,7 @@ from .bandlimit import SpectralSupport
 from .spectral import _check_joint
 
 MAX_JOINT_VERTICES = 20
+ELIM_TOL = 1e-10
 # Subsets ranked per stacked elimination call: large enough to amortize the
 # per-call numpy overhead, small enough to keep the stack and its temporaries
 # well under a megabyte.
@@ -27,22 +28,20 @@ BLOCK = 512
 _INDICES = tuple(range(MAX_JOINT_VERTICES))
 
 
-def elimination_rank(mat: np.ndarray, tol: float = 1e-10):
+def elimination_rank(mat: np.ndarray):
     """Matrix rank by row echelon reduction with partial pivoting.
 
     ``mat`` is one matrix ``(rows, cols)`` or a stack ``(..., rows, cols)``,
     as for ``np.linalg.matrix_rank``; a matrix gives an ``int``, a stack an
     int array of its leading shape. Every matrix is reduced on its own: it
     keeps its own scale ``max |a|``, pivot rows and running rank, and skips a
-    column whose best pivot is at most ``tol * scale``. The stack is copied
+    column whose best pivot is at most ``ELIM_TOL * scale``. The stack is copied
     once with the stack axis innermost, so each column step is a few numpy
     calls over every matrix at once. A pivot row is not swapped into place:
     it eliminates itself to zeros, so an exact tie in pivot magnitude goes to
-    the lowest row index. Raises ``ValueError`` on a NaN or infinite entry or
-    a negative ``tol``; ``mat`` is left unchanged.
+    the lowest row index. Raises ``ValueError`` on a NaN or infinite entry;
+    ``mat`` is left unchanged.
     """
-    if tol < 0:
-        raise ValueError(f"tolerance must be non-negative, got {tol}")
     mat = np.asarray(mat)
     lead = mat.shape[:-2]
     rows, cols = mat.shape[-2:]
@@ -57,7 +56,7 @@ def elimination_rank(mat: np.ndarray, tol: float = 1e-10):
         scale = np.maximum(a.max(axis=(0, 1)), -a.min(axis=(0, 1)))
         if not np.isfinite(scale).all():
             raise ValueError("cannot rank a matrix with NaN or infinite entries")
-        cut = tol * scale
+        cut = ELIM_TOL * scale
         flat = a.reshape(cols, rows * count)
         which = np.arange(count)
         for col in range(cols):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandlimit import SpectralSupport
+from .bandlimit import SpectralSupport, _check_index_pairs
 from .spectral import JointBasis, _check_joint, _check_restricted, unvec
 
 ROW_SELECT_EPS = 1e-9
@@ -39,16 +39,8 @@ class SamplingPlan:
     samples: frozenset
 
     def __post_init__(self):
-        samples = frozenset((int(t), int(v)) for t, v in self.samples)
-        if not samples:
-            raise ValueError("sampling plan must contain at least one sample")
-        for t, v in samples:
-            if not (0 <= t < self.t_dim and 0 <= v < self.g_dim):
-                raise ValueError(
-                    f"sample ({t}, {v}) out of range for dims "
-                    f"({self.t_dim}, {self.g_dim})"
-                )
-        object.__setattr__(self, "samples", samples)
+        _check_index_pairs(self, "samples", "sample",
+                           "sampling plan must contain at least one sample")
 
     @property
     def sorted_samples(self):
@@ -138,30 +130,28 @@ def _residual(row: np.ndarray, q: np.ndarray) -> np.ndarray:
     return resid - q.T @ (q @ resid)  # reorthogonalize for stability
 
 
-def max_lin_indep_rows(mat: np.ndarray, eps: float = ROW_SELECT_EPS) -> list:
+def max_lin_indep_rows(mat: np.ndarray) -> list:
     """Indices of a maximal linearly independent row set, greedy lowest-first.
 
     A row is accepted iff its residual after projection onto the span of the
-    rows already accepted exceeds ``eps`` times its own norm; zero rows are
-    always rejected. The scan covers every row, so the result is maximal and
-    deterministic.
+    rows already accepted exceeds ``ROW_SELECT_EPS`` times its own norm; zero
+    rows are always rejected. The scan covers every row, so the result is
+    maximal and deterministic.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[1] < 1:
         raise ValueError(f"expected a matrix with at least one column, got {mat.shape}")
-    if eps <= 0:
-        raise ValueError(f"tolerance must be positive, got {eps}")
     norms = np.linalg.norm(mat, axis=1)
     scale = float(np.max(norms)) if len(mat) else 0.0
     basis = np.empty((mat.shape[1], mat.shape[1]))
     selected = []
     for i, row in enumerate(mat):
         # rows negligible at matrix scale count as zero rows
-        if norms[i] <= eps * scale:
+        if norms[i] <= ROW_SELECT_EPS * scale:
             continue
         resid = _residual(row, basis[:len(selected)])
         rnorm = np.linalg.norm(resid)
-        if rnorm > eps * norms[i]:
+        if rnorm > ROW_SELECT_EPS * norms[i]:
             basis[len(selected)] = resid / rnorm
             selected.append(i)
     return selected

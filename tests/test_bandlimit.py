@@ -12,7 +12,7 @@ from jtvsampling import (
     synth_from_restricted,
     synth_signal,
 )
-from jtvsampling.bandlimit import coeffs_to_matrix, full_spectrum
+from jtvsampling.bandlimit import full_spectrum
 from jtvsampling.generate import random_coeffs, random_connected_graph, random_support
 
 
@@ -32,6 +32,29 @@ class TestSpectralSupport:
         with pytest.raises(ValueError, match="out of range"):
             SpectralSupport(t_dim=2, g_dim=2, pairs=frozenset({(2, 0)}))
 
+    @pytest.mark.parametrize("dims", [(0, 2), (2, 0), (-1, 3)])
+    def test_non_positive_dims_rejected(self, dims):
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            SpectralSupport(t_dim=dims[0], g_dim=dims[1], pairs=frozenset({(0, 0)}))
+
+    @pytest.mark.parametrize("dims, pairs", [
+        ((4, 4), {(0.9, 1.5)}),
+        ((4, 4), {(1, 2.5)}),
+        ((4.5, 4), {(0, 0)}),
+        ((4, 4), {(1, "2")}),
+        ((4, 4), {(float("nan"), 0)}),
+    ])
+    def test_non_integral_rejected(self, dims, pairs):
+        # int() would truncate these: (0.9, 1.5) to the pair (0, 1)
+        with pytest.raises(ValueError, match="must be an integer"):
+            SpectralSupport(t_dim=dims[0], g_dim=dims[1], pairs=frozenset(pairs))
+
+    def test_integral_floats_and_numpy_ints_normalized(self):
+        s = SpectralSupport(t_dim=4.0, g_dim=np.int64(3),
+                            pairs=frozenset({(np.int32(1), 2.0), (0, np.float64(0))}))
+        assert s == SpectralSupport(t_dim=4, g_dim=3, pairs=frozenset({(1, 2), (0, 0)}))
+        assert {type(x) for x in (s.t_dim, s.g_dim, *sum(s.sorted_pairs, ()))} == {int}
+
     def test_bandwidth_inequality_random(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
@@ -42,6 +65,18 @@ class TestSpectralSupport:
             assert -(-s.k // s.k_t) <= s.floor_g <= s.k_g
             # SBL implies strictly bandlimited overall
             assert not s.is_sbl() or s.k < s.t_dim * s.g_dim
+
+    @pytest.mark.parametrize("dims, kwargs, match", [
+        ((1, 5), {}, "too small for an SBL support"),
+        ((5, 1), {}, "too small for an SBL support"),
+        ((5, 5), {"k_t": 5}, "bandwidths"),
+        ((5, 5), {"k_g": 0}, "bandwidths"),
+        ((5, 5), {"k_t": 2, "k_g": 3, "k": 2}, "outside"),
+        ((5, 5), {"k_t": 2, "k_g": 3, "k": 7}, "outside"),
+    ])
+    def test_random_support_argument_errors(self, dims, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            random_support(*dims, np.random.default_rng(0), **kwargs)
 
     def test_inequality_witnesses(self):
         # single occupied graph frequency: K hits the lower bound
@@ -101,6 +136,13 @@ class TestDetectSupport:
     def test_bad_eps_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             detect_support(np.eye(2), eps=0.0)
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_eps_rejected(self, eps):
+        # NaN and inf keep no pair, so without the check both fail later as
+        # an empty support
+        with pytest.raises(ValueError, match="eps must be finite"):
+            detect_support(np.eye(2), eps=eps)
 
     def test_threshold_is_relative(self):
         xf = np.array([[1.0, 0.0], [0.0, 1e-12]])
@@ -163,7 +205,36 @@ class TestSynth:
 
     def test_wrong_keys_rejected(self, ref):
         with pytest.raises(ValueError, match="keyed exactly"):
-            coeffs_to_matrix(ref.support, {(0, 0): 1.0})
+            synth_from_restricted(ref.ut_r, ref.ug_r, ref.support, {(0, 0): 1.0})
+
+    def test_full_spectrum_wrong_keys_rejected(self, ref):
+        with pytest.raises(ValueError, match="keyed exactly"):
+            full_spectrum(ref.support, {**ref.coeffs, (0, 0): 1.0})
+
+    def test_errors_in_order(self, ref):
+        # shape first, then keys, then the first zero in the dict's order
+        zeros = {(2, 2): 0.0, (1, 1): 0.0, (1, 2): 1.0}
+        with pytest.raises(ValueError, match="dims"):
+            synth_from_restricted(ref.ut_r[:3], ref.ug_r, ref.support, {(0, 0): 0.0})
+        with pytest.raises(ValueError, match="keyed exactly"):
+            synth_from_restricted(ref.ut_r, ref.ug_r, ref.support, {(0, 0): 0.0})
+        with pytest.raises(ValueError, match=r"zero coefficient at pair \(2, 2\)"):
+            synth_from_restricted(ref.ut_r, ref.ug_r, ref.support, zeros)
+
+    def test_matches_coefficient_grid_product(self):
+        # X = U_G C U_T^T with C the K_G x K_T grid of the coefficients
+        rng = np.random.default_rng(7)
+        bt = eig_sym(laplacian(cycle_graph(6)))
+        bg = eig_sym(laplacian(random_connected_graph(5, rng)))
+        for _ in range(50):
+            support = random_support(6, 5, rng)
+            coeffs = random_coeffs(support, rng)
+            ut_r, ug_r = restrict_bases(bt, bg, support)
+            grid = np.zeros((support.k_g, support.k_t))
+            for (jt, jg), val in coeffs.items():
+                grid[support.graph_freqs.index(jg), support.time_freqs.index(jt)] = val
+            x = synth_from_restricted(ut_r, ug_r, support, coeffs)
+            assert np.array_equal(x, ug_r @ grid @ ut_r.T)
 
     def test_synth_detect_round_trip(self):
         rng = np.random.default_rng(123)

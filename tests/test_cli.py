@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from jtvsampling import cycle_graph, laplacian, star_graph
-from jtvsampling import cli, fileio, spectral
+from jtvsampling import cli, fileio, oracle, spectral
 from jtvsampling.cli import main
 
 
@@ -440,6 +441,50 @@ class TestRoundTrip:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestMalformedInputs:
+    """Inputs that a truncating or late check would let through or misname:
+    each exits 2 and names the problem."""
+
+    def test_non_integral_plan_sample_exit_2(self, workspace, ref, capsys):
+        # truncating 1.5 would silently sample the point (0, 1)
+        tmp, _ = workspace
+        signal, plan = tmp / "x.csv", tmp / "plan.json"
+        fileio.save_signal(ref.x, signal)
+        plan.write_text(json.dumps({"T": 4, "N": 4, "samples": [[0, 0], [0, 1.5]]}))
+        out = tmp / "samples.csv"
+        assert run("sample", "--signal", signal, "--plan", plan, "-o", out) == 2
+        assert "must be an integer, got 1.5" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_integral_vertex_count_exit_2(self, workspace, capsys):
+        tmp, paths = workspace
+        data = json.loads(paths["gg"].read_text())
+        paths["gg"].write_text(json.dumps({**data, "n": 4.9}))
+        code = run("plan", "--graph-t", paths["gt"], "--graph-g", paths["gg"],
+                   "--support", paths["support"], "-o", tmp / "plan.json")
+        assert code == 2
+        assert "vertex count must be an integer, got 4.9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_analyze_non_finite_eps_exit_2(self, workspace, ref, capsys, eps):
+        tmp, paths = workspace
+        signal = tmp / "x.csv"
+        fileio.save_signal(ref.x, signal)
+        code = run("analyze", "--graph-t", paths["gt"], "--graph-g", paths["gg"],
+                   "--signal", signal, "--eps", eps)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: threshold eps must be finite, got {eps}\n"
+
+    def test_empty_signal_exit_2_without_warning(self, workspace, capsys):
+        tmp, paths = workspace
+        signal = tmp / "x.csv"
+        signal.write_text("")
+        code = run("analyze", "--graph-t", paths["gt"], "--graph-g", paths["gg"],
+                   "--signal", signal)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: signal file {signal} is empty\n"
+
+
 class TestDenseFree:
     """``jtv`` holds the joint basis as its factors; only the oracle and the
     naive scan of ``bench`` build the dense (T*N, K) matrix."""
@@ -574,6 +619,28 @@ class TestVerify:
         assert data["exhaustive"]["violations"] == []
         assert data["exhaustive"]["exists_critical_set"] is True
         assert data["monotone"] is True
+
+    @pytest.mark.parametrize("finding", ["violation", "wrong minimum", "rank drop"])
+    def test_exhaustive_finding_exit_3(self, workspace, monkeypatch, finding):
+        # the true oracle finds nothing on this instance, so its result is planted
+        tmp, paths = workspace
+        check, mono = oracle.exhaustive_check, oracle.check_monotonicity
+        planted = {"violation": {"violations": ((0, 1, 2),)},
+                   "wrong minimum": {"min_qualified_size": 4}}.get(finding, {})
+        monkeypatch.setattr(oracle, "exhaustive_check",
+                            lambda *a, **kw: dataclasses.replace(check(*a, **kw), **planted))
+        monkeypatch.setattr(oracle, "check_monotonicity",
+                            lambda *a, **kw: finding != "rank drop" and mono(*a, **kw))
+        out = tmp / "report.json"
+        code = run("verify", "--support", paths["support"], "--basis-file", paths["basis"],
+                   "--exhaustive", "--trials", 10, "-o", out)
+        assert code == 3
+        data = json.loads(out.read_text())
+        assert data["critical"] is True
+        assert (data["exhaustive"]["violations"], data["exhaustive"]["min_qualified_size"],
+                data["monotone"]) == {"violation": ([[0, 1, 2]], 3, True),
+                                      "wrong minimum": ([], 4, True),
+                                      "rank drop": ([], 3, False)}[finding]
 
     @staticmethod
     def sparse_instance(tmp_path):

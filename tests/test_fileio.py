@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jtvsampling import (
+    Graph,
     SamplingPlan,
     SpectralSupport,
     cycle_graph,
@@ -46,6 +47,24 @@ def test_signal_round_trip(tmp_path, ref):
     assert np.array_equal(fileio.load_signal(path), ref.x)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_signal_non_finite_rejected(tmp_path, bad):
+    path = tmp_path / "x.csv"
+    path.write_text(f"1.0,2.0\n3.0,{bad}\n")
+    with pytest.raises(ValueError, match="non-finite"):
+        fileio.load_signal(path)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n"])
+def test_signal_empty_rejected(tmp_path, text):
+    # numpy warns about an empty file; the suite turns that warning into an
+    # error, so this also checks that none is issued
+    path = tmp_path / "x.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="is empty"):
+        fileio.load_signal(path)
+
+
 def test_plan_round_trip(tmp_path, ref):
     uj = joint_columns_from_restricted(ref.ut_r, ref.ug_r, ref.support)
     plan = SamplingPlan(4, 4, frozenset({(0, 0), (1, 0), (1, 2)}))
@@ -68,6 +87,14 @@ def test_samples_round_trip(tmp_path):
     points, loaded = fileio.load_samples(path)
     assert points == list(plan.sorted_samples)
     assert np.array_equal(loaded, values)
+
+
+def test_samples_count_must_match_plan(tmp_path):
+    plan = SamplingPlan(3, 3, frozenset({(0, 1), (2, 2)}))
+    path = tmp_path / "samples.csv"
+    with pytest.raises(ValueError, match="value count"):
+        fileio.save_samples(plan, np.array([1.0, 2.0, 3.0]), path)
+    assert not path.exists()
 
 
 def test_samples_malformed(tmp_path):
@@ -133,6 +160,38 @@ def test_malformed_json_rejected(tmp_path, kind, text):
     path.write_text(text)
     with pytest.raises(ValueError, match=f"malformed {kind} file"):
         LOADERS[kind](path)
+
+
+NON_INTEGRAL = [
+    ("graph", {"n": 4.9, "edges": [[0, 1, 1.0]]}),
+    ("graph", {"n": 4, "edges": [[0, 1.5, 1.0]]}),
+    ("support", {"T": 4.5, "N": 4, "pairs": [[0, 1]]}),
+    ("support", {"T": 4, "N": 4, "pairs": [[0, 1.5]]}),
+    ("plan", {"T": 4, "N": 4.5, "samples": [[0, 1]]}),
+    ("plan", {"T": 4, "N": 4, "samples": [[0, 1.5]]}),
+]
+
+
+@pytest.mark.parametrize("kind, data", NON_INTEGRAL,
+                         ids=[f"{kind}-{i}" for i, (kind, _) in enumerate(NON_INTEGRAL)])
+def test_non_integral_indices_rejected(tmp_path, kind, data):
+    # a truncating loader would read "n": 4.9 as a 4-vertex graph
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="must be an integer"):
+        LOADERS[kind](path)
+
+
+@pytest.mark.parametrize("kind, data, want", [
+    ("graph", {"n": 3.0, "edges": [[0.0, 2, 1.5]]}, Graph(3, ((0, 2, 1.5),))),
+    ("support", {"T": 4.0, "N": 4, "pairs": [[1.0, 2]]},
+     SpectralSupport(4, 4, frozenset({(1, 2)}))),
+    ("plan", {"T": 4, "N": 4.0, "samples": [[0, 3.0]]}, SamplingPlan(4, 4, frozenset({(0, 3)}))),
+])
+def test_integral_floats_load(tmp_path, kind, data, want):
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps(data))
+    assert LOADERS[kind](path) == want
 
 
 @pytest.mark.parametrize("data", [

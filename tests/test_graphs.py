@@ -11,6 +11,7 @@ from jtvsampling import (
     path_graph,
     star_graph,
 )
+from jtvsampling.generate import random_connected_graph
 
 
 def random_graph_strategy(max_n=6):
@@ -55,6 +56,24 @@ class TestGraphValidation:
         with pytest.raises(ValueError):
             Graph(0, ())
 
+    @pytest.mark.parametrize("n, edges", [
+        (3.9, ((0, 1, 1.0),)),
+        (3, ((0, 1.5, 1.0),)),
+        (3, ((0.2, 2, 1.0),)),
+        ("3", ()),
+        (float("nan"), ()),
+    ])
+    def test_non_integral_rejected(self, n, edges):
+        # int() would truncate an endpoint, and n = 3.9 passes a plain n < 1 test
+        with pytest.raises(ValueError, match="must be an integer"):
+            Graph(n, edges)
+
+    def test_integral_floats_and_numpy_ints_normalized(self):
+        g = Graph(3.0, ((np.int64(0), 1.0, 2.0), (2, np.int32(1), 1.0)))
+        assert g == Graph(3, ((0, 1, 2.0), (2, 1, 1.0)))
+        assert type(g.n) is int
+        assert np.array_equal(laplacian(g), laplacian(Graph(3, g.edges)))
+
 
 class TestLaplacian:
     def test_star_matches_reference(self, ref):
@@ -90,6 +109,16 @@ class TestCycleGraph:
     def test_too_small_rejected(self, t):
         with pytest.raises(ValueError, match="at least 3"):
             cycle_graph(t)
+
+
+class TestRandomConnectedGraph:
+    def test_vertex_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="vertex count must be positive"):
+            random_connected_graph(0, np.random.default_rng(0))
+
+    def test_gives_up_when_never_connected(self):
+        with pytest.raises(RuntimeError, match="no connected graph"):
+            random_connected_graph(3, np.random.default_rng(0), p=0.0)
 
 
 class TestPathStar:

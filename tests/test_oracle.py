@@ -184,10 +184,6 @@ class TestEliminationRank:
             elimination_rank(stack)
         assert elimination_rank(np.delete(stack, 4, axis=0)).tolist() == [5] * 6
 
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            elimination_rank(np.eye(3), tol=-1.0)
-
 
 class TestExhaustiveCheck:
     def test_reference_instance(self, ref):
@@ -481,6 +477,10 @@ class TestMonotonicity:
     def test_empty_subset_rank_zero(self, ref):
         uj = joint_columns_from_restricted(ref.ut_r, ref.ug_r, ref.support)
         assert subset_rank(uj, []) == 0
+
+    def test_size_guard(self):
+        with pytest.raises(ValueError, match="joint vertices"):
+            check_monotonicity(np.ones((21, 2)), 1)
 
     @pytest.mark.parametrize("trials", [0, -5])
     def test_trials_below_one_rejected(self, ref, trials):

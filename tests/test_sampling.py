@@ -75,8 +75,6 @@ class TestMaxLinIndepRows:
     def test_bad_inputs(self):
         with pytest.raises(ValueError, match="column"):
             max_lin_indep_rows(np.zeros((3, 0)))
-        with pytest.raises(ValueError, match="positive"):
-            max_lin_indep_rows(np.eye(2), eps=-1.0)
 
 
 class TestCriticalSamplingSet:
@@ -418,6 +416,35 @@ class TestReconstruct:
         plan = SamplingPlan(4, 4, frozenset({(0, 0), (1, 0), (1, 2)}))
         with pytest.raises(ValueError, match="sample"):
             reconstruct(np.zeros(2), plan, uj, ref.support)
+
+
+class TestSamplingPlanValidation:
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            SamplingPlan(4, 4, frozenset())
+
+    @pytest.mark.parametrize("point", [(4, 0), (0, 5), (-1, 2)])
+    def test_out_of_range_rejected(self, point):
+        with pytest.raises(ValueError, match=r"sample \(.*\) out of range for dims \(4, 5\)"):
+            SamplingPlan(4, 5, frozenset({point}))
+
+    @pytest.mark.parametrize("dims, point", [
+        ((4, 4), (0.9, 1.5)),
+        ((4, 4), (0, 1.5)),
+        ((4, 4.5), (0, 1)),
+        ((4, 4), ("0", 1)),
+        ((4, 4), (float("inf"), 1)),
+    ])
+    def test_non_integral_rejected(self, dims, point):
+        # int() would truncate these: (0.9, 1.5) to the sample (0, 1)
+        with pytest.raises(ValueError, match="must be an integer"):
+            SamplingPlan(*dims, frozenset({point}))
+
+    def test_integral_floats_and_numpy_ints_normalized(self):
+        plan = SamplingPlan(np.int64(4), 3.0, frozenset({(1.0, np.int16(2))}))
+        assert plan == SamplingPlan(4, 3, frozenset({(1, 2)}))
+        assert plan.linear_indices() == [5]
+        assert {type(x) for x in (plan.t_dim, plan.g_dim, *plan.sorted_samples[0])} == {int}
 
 
 class TestSchedule:

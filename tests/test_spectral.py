@@ -180,6 +180,12 @@ class TestJft:
         with pytest.raises(ValueError, match="shape"):
             jft(bt, bg, np.zeros((3, 4)))
 
+    def test_inverse_dimension_mismatch(self):
+        bt = eig_sym(np.eye(3))
+        bg = eig_sym(np.eye(4))
+        with pytest.raises(ValueError, match="spectrum shape"):
+            ijft(bt, bg, np.zeros((3, 4)))
+
     def test_reference_block_coefficients(self, ref):
         # the restricted bases recover the occupied coefficient block; the
         # rest of the spectrum carries no additional energy
