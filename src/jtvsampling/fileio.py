@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 
 from .bandlimit import SpectralSupport
-from .graphs import Graph
+from .graphs import Graph, _as_index
 from .sampling import QualificationReport, SamplingPlan
 
 
@@ -117,18 +117,19 @@ def save_samples(plan: SamplingPlan, values: np.ndarray, path):
 
 
 def load_samples(path):
-    """Returns (list of (t, v), value array) in file order."""
+    """Returns (list of (t, v), value array) in file order; indices as in plan files."""
     points, values = [], []
     with open(path) as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"malformed samples file {path}, line {line_no}")
-            points.append((int(parts[0]), int(parts[1])))
-            values.append(float(parts[2]))
+            try:
+                t, v, value = line.split(",")
+                points.append(tuple(_as_index(float(i), "sample index") for i in (t, v)))
+                values.append(float(value))
+            except ValueError as exc:
+                raise ValueError(f"malformed samples file {path}, line {line_no}: {exc}") from exc
     if not points:
         raise ValueError(f"samples file {path} is empty")
     values = np.array(values)

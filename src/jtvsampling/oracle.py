@@ -107,6 +107,12 @@ def _distinct_per_row(labels: np.ndarray, dim: int) -> np.ndarray:
     return seen.sum(axis=1)
 
 
+def _check_enumerable(nt: int):
+    """``ValueError`` if ``nt`` joint vertices exceed the enumeration limit."""
+    if nt > MAX_JOINT_VERTICES:
+        raise ValueError(f"enumeration limited to {MAX_JOINT_VERTICES} joint vertices, got {nt}")
+
+
 def exhaustive_check(uj: np.ndarray, support: SpectralSupport,
                      max_size: int = None) -> ExhaustiveReport:
     """Enumerate every sample subset up to ``max_size`` and audit the bounds.
@@ -129,10 +135,7 @@ def exhaustive_check(uj: np.ndarray, support: SpectralSupport,
     k = support.k
     if max_size is None:
         max_size = k
-    if nt > MAX_JOINT_VERTICES:
-        raise ValueError(
-            f"enumeration limited to {MAX_JOINT_VERTICES} joint vertices, got {nt}"
-        )
+    _check_enumerable(nt)
     if max_size > k + 1:
         raise ValueError(
             f"enumeration limited to subsets of size {k + 1}, requested {max_size}"
@@ -200,10 +203,7 @@ def check_monotonicity(uj: np.ndarray, trials: int, rng=None) -> bool:
     """
     uj = np.asarray(uj, dtype=float)
     nt, k = uj.shape
-    if nt > MAX_JOINT_VERTICES:
-        raise ValueError(
-            f"enumeration limited to {MAX_JOINT_VERTICES} joint vertices, got {nt}"
-        )
+    _check_enumerable(nt)
     if trials < 1:
         raise ValueError(f"monotonicity needs at least 1 trial, got {trials}")
     if rng is None:

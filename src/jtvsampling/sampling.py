@@ -1,10 +1,10 @@
 """Critical sampling set construction, qualification checks, and reconstruction.
 
 The core routine factors the row search: independent rows of the small time and
-graph bases first, then one greedy max-volume pass over the K_T*K_G candidate
-product rows of the joint basis, instead of eliminating over all N*T rows. The
-pass prefers rows on time slots and vertices it has not yet covered, so one
-pass yields a critical plan.
+graph bases first, then K of the K_T*K_G candidate product rows of the joint
+basis, instead of eliminating over all N*T rows. Both steps use one greedy
+max-volume pass; over the product grid it prefers rows on time slots and
+vertices it has not yet covered, so one pass yields a critical plan.
 """
 
 from dataclasses import dataclass
@@ -131,7 +131,7 @@ def _residual(row: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def max_lin_indep_rows(mat: np.ndarray) -> list:
-    """Indices of a maximal linearly independent row set, greedy lowest-first.
+    """Naive reference scan: a maximal independent row set, lowest index first.
 
     A row is accepted iff its residual after projection onto the span of the
     rows already accepted exceeds ``ROW_SELECT_EPS`` times its own norm; zero
@@ -158,18 +158,19 @@ def max_lin_indep_rows(mat: np.ndarray) -> list:
 
 
 def _coverage_first_rows(rows: np.ndarray, n_g: int) -> list:
-    """Step 3: greedy max-volume pick of independent grid rows, coverage first.
+    """Greedy max-volume pick of independent grid rows, coverage first (steps 1, 3).
 
     ``rows[i]`` is grid cell ``(i // n_g, i % n_g)``. Rows covering two new
     grid slots / vertices come first, then one, then none; within that, the
     largest residual wins (lowest index on ties). Acceptance is
     :func:`max_lin_indep_rows`'s rule; a rejected row lies in the span for good.
+    With ``n_g = 1`` (one factor) coverage decides only the first pick.
     """
     n_rows, n_cols = rows.shape
     resid2 = np.einsum("ij,ij->i", rows, rows)
     norms = np.sqrt(resid2)
     # rows negligible at matrix scale count as zero rows
-    live = norms > ROW_SELECT_EPS * np.max(norms)
+    live = norms > ROW_SELECT_EPS * np.max(norms, initial=0.0)
     new_t, new_g = np.ones(n_rows // n_g, dtype=int), np.ones(n_g, dtype=int)
     basis = np.empty((n_cols, n_cols))
     picked = []
@@ -191,15 +192,17 @@ def _coverage_first_rows(rows: np.ndarray, n_g: int) -> list:
 
 
 def _factor_rows(ut_r: np.ndarray, ug_r: np.ndarray):
-    """Step 1: independent time slots and vertices, one per column of each
-    restricted basis; raises :class:`RankDeficiencyError` if either falls short."""
+    """Step 1: independent time slots and vertices, ascending, one per column of
+    each restricted basis; :class:`RankDeficiencyError` if either falls short."""
     picks = []
     for name, mat in (("time", ut_r), ("graph", ug_r)):
-        sel = max_lin_indep_rows(mat)
+        mat = np.asarray(mat, dtype=float)
+        if mat.ndim != 2 or mat.shape[1] < 1:
+            raise ValueError(f"expected a matrix with at least one column, got {mat.shape}")
+        sel = sorted(_coverage_first_rows(mat, 1))
         if len(sel) != mat.shape[1]:
             raise RankDeficiencyError(
-                f"step 1: {name} basis has rank {len(sel)} < {mat.shape[1]}"
-            )
+                f"step 1: {name} basis has rank {len(sel)} < {mat.shape[1]}")
         picks.append(sel)
     return picks
 
@@ -214,26 +217,23 @@ def critical_sampling_set(ut_r: np.ndarray, ug_r: np.ndarray, uj,
     tuples. Returns the plan with its qualification report. ``uj`` is a
     :class:`JointBasis` or the dense (T*N, K) joint basis.
 
-    Step 3 is one coverage-first, max-volume pass (:func:`_coverage_first_rows`):
-    each pick takes the product row with the largest residual, preferring rows
-    on time slots and vertices no pick touches yet. Coverage is greedy, not
-    guaranteed: a plan that misses a slot or vertex is still qualified and of
-    minimal size K, but not critical, and the report says so.
+    Steps 1 and 3 are one max-volume pass (:func:`_coverage_first_rows`): each
+    pick takes the row with the largest residual. In step 3 it prefers product
+    rows on time slots and vertices no pick touches yet. Coverage is greedy,
+    not guaranteed: a plan that misses a slot or vertex is still qualified and
+    of minimal size K, but not critical, and the report says so.
     """
     ut_r, ug_r = _check_restricted(ut_r, ug_r, support)
     basis = _joint(uj, support)
-    t_dim, g_dim = support.t_dim, support.g_dim
 
     sel_t, sel_g = _factor_rows(ut_r, ug_r)
     product = [(t, v) for t in sel_t for v in sel_g]
-    rows = basis.rows([t * g_dim + v for t, v in product])
+    rows = basis.rows([t * support.g_dim + v for t, v in product])
     picked = _coverage_first_rows(rows, len(sel_g))
     if len(picked) != support.k:
-        raise RankDeficiencyError(
-            f"step 3: product rows have rank {len(picked)} < {support.k}"
-        )
+        raise RankDeficiencyError(f"step 3: product rows have rank {len(picked)} < {support.k}")
     samples = frozenset(product[i] for i in picked)
-    plan = SamplingPlan(t_dim=t_dim, g_dim=g_dim, samples=samples)
+    plan = SamplingPlan(t_dim=support.t_dim, g_dim=support.g_dim, samples=samples)
     return plan, qualify(plan, uj, support)
 
 
@@ -267,11 +267,9 @@ def separate_sampling(ut_r: np.ndarray, ug_r: np.ndarray) -> SamplingPlan:
     Always uses K_T * K_G samples, which is minimal only when the support fills
     its bounding rectangle.
     """
-    ut_r = np.asarray(ut_r, dtype=float)
-    ug_r = np.asarray(ug_r, dtype=float)
     sel_t, sel_g = _factor_rows(ut_r, ug_r)
     samples = frozenset((t, v) for t in sel_t for v in sel_g)
-    return SamplingPlan(t_dim=ut_r.shape[0], g_dim=ug_r.shape[0], samples=samples)
+    return SamplingPlan(t_dim=len(ut_r), g_dim=len(ug_r), samples=samples)
 
 
 def sample(x_mat: np.ndarray, plan: SamplingPlan) -> np.ndarray:

@@ -395,6 +395,18 @@ class TestRoundTrip:
             files["samples.csv"].write_text(f"{t},{v},{value}\n{rest}")
         assert self.reconstruct_after(workspace, edit) == (2, False)
 
+    @pytest.mark.parametrize("spelling, want", [
+        ("{}.0", (0, True)), ("{}.5", (2, False)), ("x{}", (2, False)),
+    ])
+    def test_samples_index_spelling(self, workspace, spelling, want):
+        # the first point's time slot is respelled; an integral float reads
+        # as the slot, as it does in a plan file
+        def edit(files):
+            first, rest = files["samples.csv"].read_text().split("\n", 1)
+            t, tail = first.split(",", 1)
+            files["samples.csv"].write_text(f"{spelling.format(t)},{tail}\n{rest}")
+        assert self.reconstruct_after(workspace, edit, reference=True) == want
+
     def test_reference_of_wrong_shape_exit_2(self, workspace):
         def edit(files):
             x = fileio.load_signal(files["x.csv"])

@@ -104,6 +104,30 @@ def test_samples_malformed(tmp_path):
         fileio.load_samples(path)
 
 
+def test_samples_integral_float_indices_load(tmp_path):
+    path = tmp_path / "samples.csv"
+    path.write_text("0.0,0,1.5\n2,1.0,-2\n")
+    points, values = fileio.load_samples(path)
+    assert points == [(0, 0), (2, 1)]
+    assert all(type(i) is int for point in points for i in point)
+    assert np.array_equal(values, [1.5, -2.0])
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("0.5,0,1.5", "sample index must be an integer, got 0.5"),
+    ("1,x,2", "could not convert string to float: 'x'"),
+    ("1,nan,2", "sample index must be an integer, got nan"),
+    ("1,0,y", "could not convert string to float: 'y'"),
+])
+def test_samples_bad_line_named(tmp_path, line, reason):
+    # the error names the file and the line, and why the line was refused
+    path = tmp_path / "bad.csv"
+    path.write_text(f"0,0,1.0\n\n{line}\n")
+    with pytest.raises(ValueError) as err:
+        fileio.load_samples(path)
+    assert str(err.value) == f"malformed samples file {path}, line 3: {reason}"
+
+
 def test_samples_empty(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")

@@ -169,15 +169,31 @@ class TestCriticalSamplingSet:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_well_conditioned_at_bench_sizes(self, n, seed):
         # a lowest-index step-3 scan gave cond 1.0e9 / 1.1e9 at n = 48
-        # (seeds 0, 2) and 5.5e8 at n = 64 (seed 0)
+        # (seeds 0, 2) and 5.5e8 at n = 64 (seed 0); a lowest-index step-1
+        # scan gave 1/sigma_min 3.0e3 (n = 48) and 1.15e4 (n = 64) for the
+        # critical plan and up to 1.2e8 for the separate rectangle's
+        # 1/(sigma_min(A) sigma_min(B)), all at seed 0
         ut_r, ug_r, uj, support = bench.prepare_case(n, seed)
         plan, report = critical_sampling_set(ut_r, ug_r, uj, support)
         assert report.critical
         assert np.linalg.cond(uj[plan.linear_indices()]) < 1e5
+        assert 1 / smallest_singular_value(uj[plan.linear_indices()]) < 1e3
+        sep = separate_sampling(ut_r, ug_r)
+        a, b = ut_r[list(sep.proj_t)], ug_r[list(sep.proj_g)]
+        assert 1 / (smallest_singular_value(a) * smallest_singular_value(b)) < 1e3
         x = synth_from_restricted(ut_r, ug_r, support,
                                   random_coeffs(support, np.random.default_rng(seed)))
         x_rec = reconstruct(sample(x, plan), plan, uj, support)
         assert np.linalg.norm(x_rec - x) < 1e-8 * np.linalg.norm(x)
+
+    def test_planner_never_calls_naive_scan(self, ref, monkeypatch):
+        def naive_scan(*_):
+            raise AssertionError("the planner called max_lin_indep_rows")
+        monkeypatch.setattr(sampling, "max_lin_indep_rows", naive_scan)
+        uj = joint_columns_from_restricted(ref.ut_r, ref.ug_r, ref.support)
+        plan, report = critical_sampling_set(ref.ut_r, ref.ug_r, uj, ref.support)
+        assert report.critical
+        assert separate_sampling(ref.ut_r, ref.ug_r).size == 4
 
     def test_corrupted_input_raises(self, ref):
         uj = joint_columns_from_restricted(ref.ut_r, ref.ug_r, ref.support)
@@ -231,6 +247,10 @@ def test_plan_dims_must_match_support(ref, use, dims):
     plan = SamplingPlan(*dims, frozenset({(0, 0), (1, 0), (1, 2)}))
     with pytest.raises(ValueError, match="dimensions"):
         use(plan, uj, ref.support)
+
+
+def smallest_singular_value(mat):
+    return np.linalg.svd(mat, compute_uv=False)[-1]
 
 
 def wrong_shape_joint(ref, bad):
@@ -302,6 +322,23 @@ class TestSeparateSampling:
     def test_single_frequency(self):
         plan = separate_sampling(np.ones((3, 1)) / np.sqrt(3), np.ones((2, 1)) / np.sqrt(2))
         assert plan.size == 1
+
+    def test_picks_largest_residual_slot(self):
+        # after slot 0, slot 2's residual 1 beats slot 1's 1e-3; a
+        # lowest-index scan takes the nearly dependent slot 1
+        plan = separate_sampling([[1.0, 0.0], [0.0, 1e-3], [0.0, 1.0]], [[1.0]])
+        assert plan.proj_t == (0, 2)
+
+    @pytest.mark.parametrize("ut_r, error, match", [
+        (np.array([1.0, 0.0, 0.0]), ValueError,
+         r"expected a matrix with at least one column, got \(3,\)"),
+        (np.zeros((3, 0)), ValueError,
+         r"expected a matrix with at least one column, got \(3, 0\)"),
+        (np.zeros((0, 2)), RankDeficiencyError, "step 1: time basis has rank 0 < 2"),
+    ], ids=["1-d", "no-columns", "no-rows"])
+    def test_bad_factor_inputs(self, ut_r, error, match):
+        with pytest.raises(error, match=match):
+            separate_sampling(ut_r, np.ones((2, 1)))
 
     def test_rectangle_support_matches_critical_size(self):
         rng = np.random.default_rng(31)
