@@ -49,24 +49,17 @@ def benchmark_case(ut_r: np.ndarray, ug_r: np.ndarray, uj: np.ndarray,
     alternate for ``repeats`` rounds and each keeps its best time, so a slow
     spell on the machine hits every side alike.
     """
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
     picks = max_lin_indep_rows(uj)
     # a scan that never reaches rank K reads every row
     prefix = uj[:picks[support.k - 1] + 1] if len(picks) >= support.k else uj
-
-    def factored():
-        critical_sampling_set(ut_r, ug_r, uj, support)
-
-    def naive():
-        max_lin_indep_rows(uj)
-
-    def naive_early():
-        max_lin_indep_rows(prefix)
-
-    t_fac = t_naive = t_early = math.inf
+    calls = (lambda: critical_sampling_set(ut_r, ug_r, uj, support),
+             lambda: max_lin_indep_rows(uj), lambda: max_lin_indep_rows(prefix))
+    best = [math.inf] * len(calls)
     for _ in range(repeats):
-        t_fac = min(t_fac, _elapsed(factored))
-        t_naive = min(t_naive, _elapsed(naive))
-        t_early = min(t_early, _elapsed(naive_early))
+        best = [min(t, _elapsed(fn)) for t, fn in zip(best, calls)]
+    t_fac, t_naive, t_early = best
     plan, _ = critical_sampling_set(ut_r, ug_r, uj, support)
     return BenchRow(
         t_dim=support.t_dim,

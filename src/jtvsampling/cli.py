@@ -64,9 +64,11 @@ def cmd_gen_graph(args):
     elif args.type == "path":
         g = graphs.path_graph(args.n)
     else:
-        g = generate.random_connected_graph(
-            args.n, np.random.default_rng(args.seed), p=args.p
-        )
+        rng = np.random.default_rng(args.seed)
+        try:
+            g = generate.random_connected_graph(args.n, rng, p=args.p)
+        except RuntimeError as exc:  # no connected draw: --p too small for --n
+            raise ValueError(exc) from exc
     fileio.save_graph(g, args.out)
     print(f"wrote graph with {g.n} vertices, {len(g.edges)} edges to {args.out}")
     return EXIT_OK

@@ -21,12 +21,12 @@ def _dump_json(obj, path):
 
 
 def _load_json(path, kind, build):
-    """``build(data)`` of the JSON in ``path``; KeyError / TypeError mean a malformed file."""
+    """``build(data)`` of the JSON in ``path``; a bad key, type or value is a malformed file."""
     with open(path) as fh:
         data = json.load(fh)
     try:
         return build(data)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed {kind} file {path}: {exc}") from exc
 
 

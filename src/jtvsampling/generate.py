@@ -13,6 +13,8 @@ def random_connected_graph(n: int, rng: np.random.Generator, p: float = 0.5) -> 
     until connected; ``RuntimeError`` after ``MAX_ATTEMPTS`` draws."""
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
+    if not 0 < p <= 1:  # also refuses nan
+        raise ValueError(f"edge probability must be in (0, 1], got {p}")
     for _ in range(MAX_ATTEMPTS):
         edges = []
         for i in range(n):

@@ -13,12 +13,13 @@ import numpy as np
 
 def _as_index(value, what):
     """``value`` as an int if it is an integer or an integral float; anything
-    ``int()`` would truncate or convert, such as 1.5 or "1", is a ``ValueError``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        if isinstance(value, float) and value.is_integer():
-            return int(value)
+    ``int()`` would truncate or convert, such as 1.5, "1" or True, is a ``ValueError``."""
+    if type(value) is not bool:  # bool cannot be subclassed
+        try:
+            return operator.index(value)
+        except TypeError:
+            if isinstance(value, float) and value.is_integer():
+                return int(value)
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandlimit import SpectralSupport, _check_index_pairs
-from .spectral import JointBasis, _check_joint, _check_restricted, unvec
+from .spectral import JointBasis, _joint
 
 ROW_SELECT_EPS = 1e-9
 COND_LIMIT = 1e12
@@ -96,32 +96,6 @@ class QualificationReport:
             and self.n_proj_t == self.k_t
             and self.n_proj_g == self.k_g
         )
-
-
-class _DenseJoint:
-    """:class:`JointBasis`'s ``rows`` / ``synth`` over a dense (T*N, K) ``uj``;
-    kept only while callers still pass the dense matrix."""
-
-    def __init__(self, uj: np.ndarray, support: SpectralSupport):
-        self.uj, self.support = uj, support
-
-    def rows(self, idx) -> np.ndarray:
-        return self.uj[idx]
-
-    def synth(self, coeffs: np.ndarray) -> np.ndarray:
-        return unvec(self.uj @ coeffs, self.support.g_dim, self.support.t_dim)
-
-
-def _joint(uj, support: SpectralSupport):
-    """``uj`` as a joint basis of ``support``: a :class:`JointBasis` built for
-    it as is, anything else checked by ``_check_joint`` and wrapped densely.
-    ``ValueError`` on a JointBasis of another support or a dense ``uj`` that
-    is not (T*N, K)."""
-    if isinstance(uj, JointBasis):
-        if uj.support != support:
-            raise ValueError("joint basis was built for another support")
-        return uj
-    return _DenseJoint(_check_joint(uj, support), support)
 
 
 def _residual(row: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -212,9 +186,9 @@ def critical_sampling_set(ut_r: np.ndarray, ug_r: np.ndarray, uj,
     """Construct a critical sampling plan from the restricted bases.
 
     Step 1 picks independent time slots and vertices from the small factors,
-    step 2 restricts the joint basis to their product (lexicographic (t, v)
+    step 2 takes the factors' joint basis on their product (lexicographic (t, v)
     order), step 3 picks K independent rows there and maps them back to sample
-    tuples. Returns the plan with its qualification report. ``uj`` is a
+    tuples. Returns the plan with its qualification report against ``uj``, a
     :class:`JointBasis` or the dense (T*N, K) joint basis.
 
     Steps 1 and 3 are one max-volume pass (:func:`_coverage_first_rows`): each
@@ -223,10 +197,8 @@ def critical_sampling_set(ut_r: np.ndarray, ug_r: np.ndarray, uj,
     not guaranteed: a plan that misses a slot or vertex is still qualified and
     of minimal size K, but not critical, and the report says so.
     """
-    ut_r, ug_r = _check_restricted(ut_r, ug_r, support)
-    basis = _joint(uj, support)
-
-    sel_t, sel_g = _factor_rows(ut_r, ug_r)
+    basis = JointBasis(ut_r, ug_r, support)
+    sel_t, sel_g = _factor_rows(basis.ut_r, basis.ug_r)
     product = [(t, v) for t in sel_t for v in sel_g]
     rows = basis.rows([t * support.g_dim + v for t, v in product])
     picked = _coverage_first_rows(rows, len(sel_g))

@@ -182,6 +182,32 @@ class JointBasis:
         return self.ug_r @ grid @ self.ut_r.T
 
 
+class _DenseJoint:
+    """:class:`JointBasis`'s ``rows`` / ``synth`` over a dense (T*N, K) ``uj``;
+    kept only while callers still pass the dense matrix."""
+
+    def __init__(self, uj: np.ndarray, support):
+        self.uj, self.support = uj, support
+
+    def rows(self, idx) -> np.ndarray:
+        return self.uj[idx]
+
+    def synth(self, coeffs: np.ndarray) -> np.ndarray:
+        return unvec(self.uj @ coeffs, self.support.g_dim, self.support.t_dim)
+
+
+def _joint(uj, support):
+    """``uj`` as a joint basis of ``support``: a :class:`JointBasis` built for
+    it as is, anything else checked by ``_check_joint`` and wrapped densely.
+    ``ValueError`` on a JointBasis of another support or a dense ``uj`` that
+    is not (T*N, K)."""
+    if isinstance(uj, JointBasis):
+        if uj.support != support:
+            raise ValueError("joint basis was built for another support")
+        return uj
+    return _DenseJoint(_check_joint(uj, support), support)
+
+
 def joint_basis_columns(basis_t: EigenBasis, basis_g: EigenBasis, support) -> np.ndarray:
     """Joint basis columns selected by a spectral support from full bases."""
     return joint_columns_from_restricted(*restrict_bases(basis_t, basis_g, support), support)

@@ -28,7 +28,7 @@ from jtvsampling import (
     separate_sampling,
     synth_from_restricted,
 )
-from jtvsampling import bench
+from jtvsampling import bench, sampling
 from jtvsampling.generate import (
     random_coeffs,
     random_connected_graph,
@@ -63,9 +63,12 @@ def test_01_reference_pipeline_replay(ref):
     plan, report = critical_sampling_set(ref.ut_r, ref.ug_r, uj, ref.support)
     elapsed = time.perf_counter() - start
     block_err = float(np.max(np.abs(grid_rows - ref.psi_uj)))
+    # the planner's own step 1, not only the reference scan, picks S_T and S_G
+    step1 = tuple(sampling._factor_rows(ref.ut_r, ref.ug_r))
     ok = (
         sel_t == [0, 1]
         and sel_g == [0, 2]
+        and step1 == ([0, 1], [0, 2])
         and grid == [(0, 0), (0, 2), (1, 0), (1, 2)]
         and plan.sorted_samples == ((0, 0), (1, 0), (1, 2))
         and report.critical
@@ -74,7 +77,7 @@ def test_01_reference_pipeline_replay(ref):
     )
     _verdict(
         1, "reference pipeline replay", ok,
-        f"S_T={sel_t} S_G={sel_g} S={plan.sorted_samples} "
+        f"S_T={sel_t} S_G={sel_g} step 1={step1} S={plan.sorted_samples} "
         f"grid-matrix err={block_err:.1e} elapsed={elapsed:.3f}s",
     )
 

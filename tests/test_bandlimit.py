@@ -43,6 +43,8 @@ class TestSpectralSupport:
         ((4.5, 4), {(0, 0)}),
         ((4, 4), {(1, "2")}),
         ((4, 4), {(float("nan"), 0)}),
+        ((True, 4), {(0, 0)}),
+        ((4, 4), {(0, True)}),
     ])
     def test_non_integral_rejected(self, dims, pairs):
         # int() would truncate these: (0.9, 1.5) to the pair (0, 1)

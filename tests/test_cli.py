@@ -102,6 +102,20 @@ class TestGen:
     def test_cycle_too_small_input_error(self, tmp_path):
         assert run("gen", "graph", "--type", "cycle", "--n", 2, "-o", tmp_path / "g.json") == 2
 
+    @pytest.mark.parametrize("p, message", [
+        ("0", "edge probability must be in (0, 1], got 0.0"),
+        ("nan", "edge probability must be in (0, 1], got nan"),
+        ("-0.5", "edge probability must be in (0, 1], got -0.5"),
+        ("1.5", "edge probability must be in (0, 1], got 1.5"),
+        ("1e-9", "no connected graph found in 1000 attempts (p=1e-09)"),
+    ])
+    def test_er_edge_probability_exit_2(self, tmp_path, capsys, p, message):
+        # p = 0 used to die with a RuntimeError traceback, p = 1.5 acted as 1
+        out = tmp_path / "g.json"
+        assert run("gen", "graph", "--type", "er", "--n", 4, "--p", p, "-o", out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_signal_builds_no_joint_basis(self, workspace, monkeypatch):
         # gen signal synthesizes from the restricted bases; only the oracle
         # (verify --exhaustive) and bench need the dense (T*N, K) joint basis
@@ -487,6 +501,21 @@ class TestMalformedInputs:
         assert code == 2
         assert capsys.readouterr().err == f"error: threshold eps must be finite, got {eps}\n"
 
+    @pytest.mark.parametrize("key, field, kind, what", [
+        ("gg", "n", "graph", "vertex count"),
+        ("support", "T", "support", "dimension"),
+    ])
+    def test_boolean_index_exit_2(self, workspace, capsys, key, field, kind, what):
+        # JSON true used to load as 1: a 1-vertex graph, or a support with T = 1
+        tmp, paths = workspace
+        data = json.loads(paths[key].read_text())
+        paths[key].write_text(json.dumps({**data, field: True}))
+        code = run("plan", "--graph-t", paths["gt"], "--graph-g", paths["gg"],
+                   "--support", paths["support"], "-o", tmp / "plan.json")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"malformed {kind} file {paths[key]}: {what} must be an integer, got True" in err
+
     def test_empty_signal_exit_2_without_warning(self, workspace, capsys):
         tmp, paths = workspace
         signal = tmp / "x.csv"
@@ -700,6 +729,15 @@ class TestBench:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("T,N,")
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("repeats", [0, -2])
+    def test_repeats_below_one_exit_2(self, workspace, capsys, repeats):
+        # used to write the row 8,8,2,2,3,3,4,inf,inf,inf,nan and exit 0
+        tmp, _ = workspace
+        out = tmp / "bench.csv"
+        assert run("bench", "--sizes", 8, "--repeats", repeats, "-o", out) == 2
+        assert capsys.readouterr().err == f"error: repeats must be at least 1, got {repeats}\n"
+        assert not out.exists()
 
     def test_explicit_instance_counts(self, workspace):
         tmp, paths = workspace

@@ -193,6 +193,10 @@ NON_INTEGRAL = [
     ("support", {"T": 4, "N": 4, "pairs": [[0, 1.5]]}),
     ("plan", {"T": 4, "N": 4.5, "samples": [[0, 1]]}),
     ("plan", {"T": 4, "N": 4, "samples": [[0, 1.5]]}),
+    # JSON true would be read as the index 1
+    ("graph", {"n": True, "edges": []}),
+    ("support", {"T": True, "N": 4, "pairs": [[0, 1]]}),
+    ("plan", {"T": 4, "N": 4, "samples": [[0, True]]}),
 ]
 
 
@@ -204,6 +208,21 @@ def test_non_integral_indices_rejected(tmp_path, kind, data):
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match="must be an integer"):
         LOADERS[kind](path)
+
+
+@pytest.mark.parametrize("kind, data, reason", [
+    ("graph", {"n": 4, "edges": [[0, 1]]}, "not enough values to unpack"),
+    ("graph", {"n": 4, "edges": [[0, 0, 1.0]]}, "self-loop at vertex 0 not allowed"),
+    ("basis", {"U_T": [[1.0], [1.0, 0.0]], "U_G": [[1.0]]}, "inhomogeneous shape"),
+])
+def test_value_errors_name_the_file(tmp_path, kind, data, reason):
+    # these used to report only the reason, without the file
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError) as err:
+        LOADERS[kind](path)
+    assert str(err.value).startswith(f"malformed {kind} file {path}: ")
+    assert reason in str(err.value)
 
 
 @pytest.mark.parametrize("kind, data, want", [

@@ -62,6 +62,8 @@ class TestGraphValidation:
         (3, ((0.2, 2, 1.0),)),
         ("3", ()),
         (float("nan"), ()),
+        (True, ()),
+        (3, ((0, True, 1.0),)),
     ])
     def test_non_integral_rejected(self, n, edges):
         # int() would truncate an endpoint, and n = 3.9 passes a plain n < 1 test
@@ -117,8 +119,18 @@ class TestRandomConnectedGraph:
             random_connected_graph(0, np.random.default_rng(0))
 
     def test_gives_up_when_never_connected(self):
+        # a valid p that cannot connect 3 vertices in MAX_ATTEMPTS draws
         with pytest.raises(RuntimeError, match="no connected graph"):
-            random_connected_graph(3, np.random.default_rng(0), p=0.0)
+            random_connected_graph(3, np.random.default_rng(0), p=1e-9)
+
+    @pytest.mark.parametrize("p", [0.0, -0.5, 1.5, float("nan"), float("inf")])
+    def test_edge_probability_out_of_range_rejected(self, p):
+        # p = 0 used to draw MAX_ATTEMPTS graphs before giving up, p = 1.5 acted as 1
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"edge probability must be in \(0, 1\]"):
+            random_connected_graph(4, rng, p=p)
+        assert rng.bit_generator.state == state
 
 
 class TestPathStar:

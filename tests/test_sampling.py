@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -312,6 +315,63 @@ class TestJointBasisInput:
         with pytest.raises(ValueError, match="another support"):
             use(plan, basis, ref.support)
 
+    def test_planner_refuses_basis_of_another_support(self, ref):
+        other = SpectralSupport(4, 4, frozenset({(1, 1), (1, 2), (2, 1)}))
+        with pytest.raises(ValueError, match="another support"):
+            critical_sampling_set(ref.ut_r, ref.ug_r, JointBasis(ref.ut_r, ref.ug_r, other),
+                                  ref.support)
+
+
+class TestPlanFromFactors:
+    """A plan is a function of the restricted bases and the support; ``uj``
+    only certifies it."""
+
+    @staticmethod
+    def assert_row_order_ignored(ut_r, ug_r, uj, support, seed):
+        shuffled = uj[np.random.default_rng(seed).permutation(len(uj))]
+        plan, _ = critical_sampling_set(ut_r, ug_r, uj, support)
+        assert critical_sampling_set(ut_r, ug_r, shuffled, support)[0] == plan
+
+    def test_reference_instance(self, ref):
+        uj = joint_columns_from_restricted(ref.ut_r, ref.ug_r, ref.support)
+        self.assert_row_order_ignored(ref.ut_r, ref.ug_r, uj, ref.support, 0)
+
+    @pytest.mark.parametrize("n", [16, 32, 48])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bench_instances(self, n, seed):
+        # step 3 used to read its rows from uj, so every one of these plans moved
+        self.assert_row_order_ignored(*bench.prepare_case(n, seed=seed), seed)
+
+    DENSE_ONLY = {"_DenseJoint", "_check_joint", "_check_restricted", "unvec"}
+
+    @staticmethod
+    def dense_names(source):
+        """The names of ``DENSE_ONLY`` that ``source`` imports, reads or defines."""
+        found = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                found.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                found.add(node.name)
+        return found & TestPlanFromFactors.DENSE_ONLY
+
+    def test_sampling_holds_no_joint_basis_internals(self):
+        # spectral owns both forms of the joint basis and their checks
+        assert self.dense_names(Path(sampling.__file__).read_text()) == set()
+
+    @pytest.mark.parametrize("line", [
+        "from .spectral import JointBasis, _check_joint",
+        "ut_r, ug_r = _check_restricted(ut_r, ug_r, support)",
+        "x = spectral.unvec(y, n, t)",
+        "class _DenseJoint: pass",
+    ])
+    def test_guard_catches_each_breach(self, line):
+        assert len(self.dense_names(line)) == 1
+
 
 class TestSeparateSampling:
     def test_reference_uses_four_samples(self, ref):
@@ -471,6 +531,8 @@ class TestSamplingPlanValidation:
         ((4, 4.5), (0, 1)),
         ((4, 4), ("0", 1)),
         ((4, 4), (float("inf"), 1)),
+        ((4, True), (0, 0)),
+        ((4, 4), (True, 1)),
     ])
     def test_non_integral_rejected(self, dims, point):
         # int() would truncate these: (0.9, 1.5) to the sample (0, 1)
