@@ -22,15 +22,10 @@ from .spectral import (
     EigenBasis,
     JointBasis,
     eig_sym,
-    gft,
-    igft,
-    ijft,
     jft,
     joint_basis_columns,
     joint_columns_from_restricted,
     restrict_bases,
-    unvec,
-    vec,
 )
 
 __all__ = [
@@ -48,9 +43,6 @@ __all__ = [
     "detect_support",
     "eig_sym",
     "exhaustive_check",
-    "gft",
-    "igft",
-    "ijft",
     "jft",
     "joint_basis_columns",
     "joint_columns_from_restricted",
@@ -65,8 +57,6 @@ __all__ = [
     "star_graph",
     "synth_from_restricted",
     "synth_signal",
-    "unvec",
-    "vec",
 ]
 
 __version__ = "0.1.0"

@@ -39,7 +39,7 @@ class SpectralSupport:
     pairs: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if self.t_dim < 1 or self.g_dim < 1:
+        if min(_as_index(d, "dimension") for d in (self.t_dim, self.g_dim)) < 1:
             raise ValueError("support dimensions must be positive")
         _check_index_pairs(self, "pairs", "pair",
                            "support must contain at least one frequency pair")
@@ -96,9 +96,6 @@ class SpectralSupport:
         """True when the support fits strictly inside both frequency axes."""
         return self.k_t < self.t_dim and self.k_g < self.g_dim
 
-    def is_rectangle(self):
-        return self.k == self.k_t * self.k_g
-
 
 def detect_support(xf_mat: np.ndarray, eps: float = 1e-8) -> SpectralSupport:
     """Occupied pairs of a joint spectrum, thresholded relative to its peak.
@@ -118,19 +115,14 @@ def detect_support(xf_mat: np.ndarray, eps: float = 1e-8) -> SpectralSupport:
     return SpectralSupport(t_dim=t, g_dim=n, pairs=zip(cols, rows))
 
 
-def _check_keys(support: SpectralSupport, coeffs: dict):
-    """``ValueError`` unless ``coeffs`` is keyed exactly by the support pairs."""
-    if set(coeffs) != support.pairs:
-        raise ValueError("coefficients must be keyed exactly by the support pairs")
-
-
 def synth_from_restricted(ut_r: np.ndarray, ug_r: np.ndarray,
                           support: SpectralSupport, coeffs: dict) -> np.ndarray:
     """N x T signal with the given spectrum, built from restricted bases, which
     must be (T, K_T) and (N, K_G): :meth:`JointBasis.synth` of the coefficients
     in the support's canonical pair order. A zero coefficient is refused."""
     basis = JointBasis(ut_r, ug_r, support)
-    _check_keys(support, coeffs)
+    if set(coeffs) != support.pairs:
+        raise ValueError("coefficients must be keyed exactly by the support pairs")
     for (jt, jg), val in coeffs.items():
         if float(val) == 0.0:
             raise ValueError(f"zero coefficient at pair ({jt}, {jg}) would silently "
@@ -143,12 +135,3 @@ def synth_signal(basis_t: EigenBasis, basis_g: EigenBasis,
     """N x T signal whose joint spectrum is exactly the given coefficients."""
     ut_r, ug_r = restrict_bases(basis_t, basis_g, support)
     return synth_from_restricted(ut_r, ug_r, support, coeffs)
-
-
-def full_spectrum(support: SpectralSupport, coeffs: dict) -> np.ndarray:
-    """Dense N x T joint spectrum matrix with the coefficients in place."""
-    _check_keys(support, coeffs)
-    xf = np.zeros((support.g_dim, support.t_dim))
-    for (jt, jg), val in coeffs.items():
-        xf[jg, jt] = float(val)
-    return xf

@@ -21,13 +21,13 @@ def _dump_json(obj, path):
 
 
 def _load_json(path, kind, build):
-    """``build(data)`` of the JSON in ``path``; a bad key, type or value is a malformed file."""
+    """``build(data)`` of the JSON in ``path``; invalid JSON or a bad key, type or
+    value is a malformed file."""
     with open(path) as fh:
-        data = json.load(fh)
-    try:
-        return build(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed {kind} file {path}: {exc}") from exc
+        try:
+            return build(json.load(fh))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed {kind} file {path}: {exc}") from exc
 
 
 def save_graph(g: Graph, path):

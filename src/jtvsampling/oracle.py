@@ -95,10 +95,6 @@ class ExhaustiveReport:
     min_proj_t: int = None
     min_proj_g: int = None
 
-    @property
-    def clean(self):
-        return not self.violations
-
 
 def _distinct_per_row(labels: np.ndarray, dim: int) -> np.ndarray:
     """Distinct entries per row of an int matrix whose entries lie below ``dim``."""
@@ -181,11 +177,6 @@ def exhaustive_check(uj: np.ndarray, support: SpectralSupport,
         min_proj_t=min_proj_t,
         min_proj_g=min_proj_g,
     )
-
-
-def subset_rank(uj: np.ndarray, subset) -> int:
-    """Rank of the joint basis restricted to the given linear indices."""
-    return elimination_rank(np.asarray(uj, dtype=float)[sorted(subset)])
 
 
 def check_monotonicity(uj: np.ndarray, trials: int, rng=None) -> bool:

@@ -1,4 +1,5 @@
-"""Symmetric eigendecomposition and graph / joint time-vertex Fourier transforms.
+"""Symmetric eigendecomposition, the joint time-vertex Fourier transform and
+the joint basis of a spectral support.
 
 Eigenbases come from LAPACK's symmetric solver (``numpy.linalg.eigh``) under a
 fixed sign convention, so one install always returns the same basis.
@@ -43,35 +44,6 @@ def eig_sym(mat: np.ndarray) -> EigenBasis:
     return EigenBasis(vectors=v, values=lam)
 
 
-def gft(basis: EigenBasis, x: np.ndarray) -> np.ndarray:
-    """Forward transform: project a vertex-domain signal onto the eigenbasis."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (basis.dim,):
-        raise ValueError(f"signal length {x.shape} does not match basis dim {basis.dim}")
-    return basis.vectors.T @ x
-
-
-def igft(basis: EigenBasis, xf: np.ndarray) -> np.ndarray:
-    """Inverse transform back to the vertex domain."""
-    xf = np.asarray(xf, dtype=float)
-    if xf.shape != (basis.dim,):
-        raise ValueError(f"spectrum length {xf.shape} does not match basis dim {basis.dim}")
-    return basis.vectors @ xf
-
-
-def vec(x_mat: np.ndarray) -> np.ndarray:
-    """Column-major vectorization: stacks the T columns of an N x T matrix."""
-    return np.asarray(x_mat, dtype=float).flatten(order="F")
-
-
-def unvec(x: np.ndarray, n: int, t: int) -> np.ndarray:
-    """Inverse of :func:`vec`: rebuild the N x T matrix."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n * t,):
-        raise ValueError(f"vector length {x.shape} does not match {n}x{t}")
-    return x.reshape((n, t), order="F")
-
-
 def jft(basis_t: EigenBasis, basis_g: EigenBasis, x_mat: np.ndarray) -> np.ndarray:
     """Joint transform of an N x T signal: rows of the result index graph
     frequencies, columns index time frequencies."""
@@ -82,17 +54,6 @@ def jft(basis_t: EigenBasis, basis_g: EigenBasis, x_mat: np.ndarray) -> np.ndarr
             f"({basis_g.dim}, {basis_t.dim})"
         )
     return basis_g.vectors.T @ x_mat @ basis_t.vectors
-
-
-def ijft(basis_t: EigenBasis, basis_g: EigenBasis, xf_mat: np.ndarray) -> np.ndarray:
-    """Inverse joint transform."""
-    xf_mat = np.asarray(xf_mat, dtype=float)
-    if xf_mat.shape != (basis_g.dim, basis_t.dim):
-        raise ValueError(
-            f"spectrum shape {xf_mat.shape} does not match bases "
-            f"({basis_g.dim}, {basis_t.dim})"
-        )
-    return basis_g.vectors @ xf_mat @ basis_t.vectors.T
 
 
 def restrict_bases(basis_t: EigenBasis, basis_g: EigenBasis, support):
@@ -193,7 +154,8 @@ class _DenseJoint:
         return self.uj[idx]
 
     def synth(self, coeffs: np.ndarray) -> np.ndarray:
-        return unvec(self.uj @ coeffs, self.support.g_dim, self.support.t_dim)
+        return (self.uj @ coeffs).reshape((self.support.g_dim, self.support.t_dim),
+                                          order="F")
 
 
 def _joint(uj, support):

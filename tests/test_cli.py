@@ -516,6 +516,16 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert f"malformed {kind} file {paths[key]}: {what} must be an integer, got True" in err
 
+    def test_json_syntax_error_names_the_file_exit_2(self, workspace, capsys):
+        tmp, paths = workspace
+        paths["gg"].write_text("{not json")
+        code = run("plan", "--graph-t", paths["gt"], "--graph-g", paths["gg"],
+                   "--support", paths["support"], "-o", tmp / "plan.json")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: malformed graph file {paths['gg']}: Expecting property name "
+            "enclosed in double quotes: line 1 column 2 (char 1)\n")
+
     def test_empty_signal_exit_2_without_warning(self, workspace, capsys):
         tmp, paths = workspace
         signal = tmp / "x.csv"

@@ -177,9 +177,11 @@ LOADERS = {
     ("plan", '{"T": 4, "N": 4}'),
     ("basis", '{"U_T": [[1.0]]}'),
     *((kind, "[4, 4, [[0, 0]]]") for kind in LOADERS),
+    *((kind, "{not json") for kind in LOADERS),
 ])
 def test_malformed_json_rejected(tmp_path, kind, text):
-    # a missing key, or a JSON list where an object belongs
+    # a missing key, a JSON list where an object belongs, or no JSON at all;
+    # a syntax error used to report only the parser's message, without the file
     path = tmp_path / "bad.json"
     path.write_text(text)
     with pytest.raises(ValueError, match=f"malformed {kind} file"):
@@ -197,6 +199,9 @@ NON_INTEGRAL = [
     ("graph", {"n": True, "edges": []}),
     ("support", {"T": True, "N": 4, "pairs": [[0, 1]]}),
     ("plan", {"T": 4, "N": 4, "samples": [[0, True]]}),
+    # these used to raise TypeError from comparing the dims with 1
+    ("support", {"T": None, "N": 4, "pairs": [[0, 1]]}),
+    ("support", {"T": 4, "N": "4", "pairs": [[0, 1]]}),
 ]
 
 

@@ -22,7 +22,7 @@ from jtvsampling import (
 )
 from jtvsampling.generate import random_connected_graph, random_support
 from jtvsampling import oracle
-from jtvsampling.oracle import elimination_rank, subset_rank
+from jtvsampling.oracle import elimination_rank
 
 
 class TestEliminationRank:
@@ -38,7 +38,7 @@ class TestEliminationRank:
 
     def test_empty(self):
         assert elimination_rank(np.zeros((0, 3))) == 0
-        assert subset_rank(np.eye(3), []) == 0
+        assert elimination_rank(np.eye(3)[[]]) == 0
 
     @staticmethod
     def assert_stack_matches(stack):
@@ -193,7 +193,7 @@ class TestExhaustiveCheck:
         assert report.violations == ()
         assert report.exists_critical_set
         assert report.count_qualified_at_k > 0
-        assert report.clean
+        assert not report.violations
 
     def test_single_pair_support(self):
         rng = np.random.default_rng(3)
@@ -245,7 +245,7 @@ class TestExhaustiveCheck:
         assert report.violations == ()
         single_slot = [
             s for s in combinations(range(9), 2)
-            if len({i // 3 for i in s}) == 1 and subset_rank(uj, list(s)) == 2
+            if len({i // 3 for i in s}) == 1 and elimination_rank(uj[sorted(s)]) == 2
         ]
         assert single_slot
 
@@ -269,7 +269,7 @@ class TestExhaustiveCheck:
     def test_agrees_with_fast_path(self, ref):
         uj = joint_columns_from_restricted(ref.ut_r, ref.ug_r, ref.support)
         plan, _ = critical_sampling_set(ref.ut_r, ref.ug_r, uj, ref.support)
-        assert subset_rank(uj, plan.linear_indices()) == ref.support.k
+        assert elimination_rank(uj[sorted(plan.linear_indices())]) == ref.support.k
         n_t = len(plan.proj_t)
         n_g = len(plan.proj_g)
         assert (plan.size, n_t, n_g) == (ref.support.k, ref.support.k_t, ref.support.k_g)
@@ -472,11 +472,11 @@ class TestMonotonicity:
     def test_equal_sets_pass(self, ref):
         uj = joint_columns_from_restricted(ref.ut_r, ref.ug_r, ref.support)
         idx = list(range(5))
-        assert subset_rank(uj, idx) == subset_rank(uj, idx)
+        assert elimination_rank(uj[idx]) == elimination_rank(uj[idx])
 
     def test_empty_subset_rank_zero(self, ref):
         uj = joint_columns_from_restricted(ref.ut_r, ref.ug_r, ref.support)
-        assert subset_rank(uj, []) == 0
+        assert elimination_rank(uj[[]]) == 0
 
     def test_size_guard(self):
         with pytest.raises(ValueError, match="joint vertices"):
@@ -510,8 +510,8 @@ class TestMonotonicity:
 
     def test_padded_ranks_match_subset_rank(self):
         # a stacked check ranks sorted, zero-padded subsets, or uj with the rows
-        # outside each subset zeroed; each must have the rank subset_rank
-        # gives the same subset on its own
+        # outside each subset zeroed; each must have the rank of the same
+        # subset's sorted rows on their own
         rng = np.random.default_rng(6)
         bt = eig_sym(laplacian(cycle_graph(4)))
         bg = eig_sym(laplacian(random_connected_graph(5, rng)))
@@ -526,7 +526,7 @@ class TestMonotonicity:
         masked = np.zeros((len(subsets), nt), dtype=bool)
         for i, s in enumerate(subsets):
             masked[i, s] = True
-        want = [subset_rank(uj, s) for s in subsets]
+        want = [elimination_rank(uj[sorted(s)]) for s in subsets]
         assert elimination_rank(padded).tolist() == want
         assert elimination_rank(uj * masked[..., None]).tolist() == want
 

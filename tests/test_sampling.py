@@ -22,7 +22,6 @@ from jtvsampling import (
     separate_sampling,
     synth_from_restricted,
     synth_signal,
-    vec,
 )
 from jtvsampling import bench, sampling
 from jtvsampling.generate import random_coeffs, random_connected_graph, random_support
@@ -122,9 +121,9 @@ class TestCriticalSamplingSet:
         p2, _ = critical_sampling_set(ref.ut_r, ref.ug_r, uj, ref.support)
         assert p1 == p2
 
-    def test_spread_retry_restores_coverage(self):
-        # For this support a lexicographic step-3 scan reaches full rank
-        # using only two of the three independent time slots; the one
+    def test_coverage_first_covers_slots_a_lowest_index_scan_misses(self):
+        # Over the planner's own step-1 product grid, a lowest-index step-3
+        # scan reaches full rank on only two of the three time slots; the
         # coverage-first pass must still deliver a critical plan,
         # deterministically.
         rng = np.random.default_rng(7)
@@ -135,8 +134,9 @@ class TestCriticalSamplingSet:
         )
         ut_r, ug_r = restrict_bases(bt, bg, support)
         uj = joint_basis_columns(bt, bg, support)
-        product = [(t, v) for t in max_lin_indep_rows(ut_r)
-                   for v in max_lin_indep_rows(ug_r)]
+        slots, vertices = sampling._factor_rows(ut_r, ug_r)
+        assert (slots, vertices) == ([0, 3, 4], [0, 2])
+        product = [(t, v) for t in slots for v in vertices]
         lex = max_lin_indep_rows(uj[[t * 3 + v for t, v in product]])
         assert len(lex) == support.k
         assert len({product[i][0] for i in lex}) < support.k_t
@@ -429,7 +429,7 @@ class TestSample:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(3, 2))
         plan = SamplingPlan(2, 3, frozenset((t, v) for t in range(2) for v in range(3)))
-        assert np.array_equal(sample(x, plan), vec(x))
+        assert np.array_equal(sample(x, plan), x.flatten(order="F"))
 
     def test_shape_mismatch(self, ref):
         plan = SamplingPlan(4, 4, frozenset({(0, 0)}))

@@ -7,16 +7,11 @@ from jtvsampling import (
     SpectralSupport,
     cycle_graph,
     eig_sym,
-    gft,
-    igft,
-    ijft,
     jft,
     joint_basis_columns,
     joint_columns_from_restricted,
     laplacian,
     restrict_bases,
-    unvec,
-    vec,
 )
 from jtvsampling.generate import random_connected_graph
 
@@ -114,42 +109,6 @@ class TestEigSym:
         assert np.all(first > 0) or np.all(first < 0)
 
 
-class TestGft:
-    def test_eigenvector_maps_to_unit(self, ref):
-        basis = eig_sym(ref.l_graph)
-        xf = gft(basis, basis.vectors[:, 2])
-        expected = np.zeros(4)
-        expected[2] = 1.0
-        assert np.allclose(xf, expected, atol=1e-10)
-
-    def test_round_trip_and_parseval(self):
-        rng = np.random.default_rng(7)
-        basis = eig_sym(laplacian(cycle_graph(5)))
-        x = rng.normal(size=5)
-        xf = gft(basis, x)
-        assert np.allclose(igft(basis, xf), x, atol=1e-10)
-        assert abs(np.linalg.norm(xf) - np.linalg.norm(x)) < 1e-10
-
-    def test_dimension_mismatch(self):
-        basis = eig_sym(np.eye(3))
-        with pytest.raises(ValueError, match="length"):
-            gft(basis, np.zeros(4))
-        with pytest.raises(ValueError, match="length"):
-            igft(basis, np.zeros(2))
-
-
-class TestVec:
-    def test_column_major_round_trip(self):
-        x = np.arange(12.0).reshape(3, 4)
-        v = vec(x)
-        assert v[0] == x[0, 0] and v[1] == x[1, 0]  # stacks columns
-        assert np.array_equal(unvec(v, 3, 4), x)
-
-    def test_bad_length(self):
-        with pytest.raises(ValueError, match="length"):
-            unvec(np.zeros(5), 2, 3)
-
-
 class TestJft:
     def test_zero_signal(self, ref_laplacians):
         lt, lg = ref_laplacians
@@ -162,7 +121,7 @@ class TestJft:
         bg = eig_sym(random_laplacian(4, rng))
         x = rng.normal(size=(4, 5))
         xf = jft(bt, bg, x)
-        assert np.max(np.abs(ijft(bt, bg, xf) - x)) < 1e-10
+        assert np.max(np.abs(bg.vectors @ xf @ bt.vectors.T - x)) < 1e-10
         assert abs(np.linalg.norm(xf) - np.linalg.norm(x)) < 1e-10
 
     def test_matches_vectorized_transform(self):
@@ -172,19 +131,13 @@ class TestJft:
         x = rng.normal(size=(4, 3))
         xf = jft(bt, bg, x)
         uj = np.kron(bt.vectors, bg.vectors)
-        assert np.max(np.abs(vec(xf) - uj.T @ vec(x))) < 1e-10
+        assert np.max(np.abs(xf.flatten(order="F") - uj.T @ x.flatten(order="F"))) < 1e-10
 
     def test_dimension_mismatch(self):
         bt = eig_sym(np.eye(3))
         bg = eig_sym(np.eye(4))
         with pytest.raises(ValueError, match="shape"):
             jft(bt, bg, np.zeros((3, 4)))
-
-    def test_inverse_dimension_mismatch(self):
-        bt = eig_sym(np.eye(3))
-        bg = eig_sym(np.eye(4))
-        with pytest.raises(ValueError, match="spectrum shape"):
-            ijft(bt, bg, np.zeros((3, 4)))
 
     def test_reference_block_coefficients(self, ref):
         # the restricted bases recover the occupied coefficient block; the
@@ -314,7 +267,7 @@ class TestJointBasis:
         for support, ut_r, ug_r in random_support_instances(rng, 40):
             uj = joint_columns_from_restricted(ut_r, ug_r, support)
             coeffs = rng.normal(size=support.k)
-            x = unvec(uj @ coeffs, support.g_dim, support.t_dim)
+            x = (uj @ coeffs).reshape((support.g_dim, support.t_dim), order="F")
             x_syn = JointBasis(ut_r, ug_r, support).synth(coeffs)
             assert x_syn.shape == (support.g_dim, support.t_dim)
             assert np.linalg.norm(x_syn - x) <= 1e-12 * np.linalg.norm(x)
