@@ -28,8 +28,11 @@ def _parse_pairs(text):
         chunk = chunk.strip()
         if not chunk:
             continue
-        a, b = chunk.split(",")
-        pairs.append((int(a), int(b)))
+        try:
+            jt, jg = map(int, chunk.split(","))
+        except ValueError:  # not two values, or not integers
+            raise ValueError(f"pair {chunk!r} is not of the form jt,jg") from None
+        pairs.append((jt, jg))
     if not pairs:
         raise ValueError("no pairs given")
     return frozenset(pairs)
@@ -179,17 +182,14 @@ def cmd_verify(args):
     if args.exhaustive:
         # the oracle ranks the dense basis, built apart from the fast path
         uj = spectral.joint_columns_from_restricted(ut_r, ug_r, support)
-        max_size = args.max_size if args.max_size is not None else support.k
-        ex = oracle.exhaustive_check(uj, support, max_size=max_size)
+        ex = oracle.exhaustive_check(uj, support)
         out["exhaustive"] = {**dataclasses.asdict(ex),
                              "floor_t": support.floor_t, "floor_g": support.floor_g}
         mono = oracle.check_monotonicity(
             uj, args.trials, rng=np.random.default_rng(args.seed)
         )
         out["monotone"] = mono
-        # no subset below K reaches rank K: the minimum is checked once enumerated
-        wrong_min = max_size >= support.k and ex.min_qualified_size != support.k
-        if ex.violations or wrong_min or not mono:
+        if ex.violations or ex.min_qualified_size != support.k or not mono:
             code = EXIT_THEORY
     if args.out:
         fileio._dump_json(out, args.out)
@@ -296,7 +296,6 @@ def build_parser():
                         help="check plan qualification, optionally by enumeration")
     vf.add_argument("--support", required=True)
     vf.add_argument("--exhaustive", action="store_true")
-    vf.add_argument("--max-size", type=int, default=None)
     vf.add_argument("--trials", type=int, default=200, help="monotonicity trials")
     vf.add_argument("--out", "-o", default=None)
     # no --seed flag: the monotonicity trials always draw from $JTV_SEED

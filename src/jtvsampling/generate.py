@@ -63,12 +63,6 @@ def random_support(t_dim: int, g_dim: int, rng: np.random.Generator,
     return SpectralSupport(t_dim=t_dim, g_dim=g_dim, pairs=frozenset(pairs))
 
 
-def rectangle_support(t_dim: int, g_dim: int, time_freqs, graph_freqs) -> SpectralSupport:
-    """Support filling the full rectangle of the given frequency lists."""
-    pairs = frozenset((jt, jg) for jt in time_freqs for jg in graph_freqs)
-    return SpectralSupport(t_dim=t_dim, g_dim=g_dim, pairs=pairs)
-
-
 def random_coeffs(support: SpectralSupport, rng: np.random.Generator) -> dict:
     """Coefficients drawn from +-[0.5, 1.5]: bounded away from zero so the
     support survives detection round trips."""

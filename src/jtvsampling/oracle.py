@@ -86,7 +86,7 @@ def elimination_rank(mat: np.ndarray):
 
 @dataclass(frozen=True)
 class ExhaustiveReport:
-    """Outcome of enumerating all small sampling sets against a support."""
+    """Outcome of enumerating all K-sample sets against a support."""
 
     min_qualified_size: int
     count_qualified_at_k: int
@@ -109,68 +109,55 @@ def _check_enumerable(nt: int):
         raise ValueError(f"enumeration limited to {MAX_JOINT_VERTICES} joint vertices, got {nt}")
 
 
-def exhaustive_check(uj: np.ndarray, support: SpectralSupport,
-                     max_size: int = None) -> ExhaustiveReport:
-    """Enumerate every sample subset up to ``max_size`` and audit the bounds.
+def exhaustive_check(uj: np.ndarray, support: SpectralSupport) -> ExhaustiveReport:
+    """Enumerate every sample subset of size K and audit the bounds.
 
-    Records the minimum subset size reaching full rank, counts qualified
-    subsets of size K, collects any qualified subset that undercuts the
-    necessary bounds |S_T| >= ``support.floor_t`` or
-    |S_G| >= ``support.floor_g`` (expected none), and whether a size-K
-    qualified subset is critical. Subsets smaller than K are not ranked:
-    elimination never ranks a matrix above its row count, so none of them can
-    qualify, the bound |S| >= K holds by construction, and ``max_size < K``
-    enumerates nothing. ``min_proj_t`` / ``min_proj_g`` are the
-    fewest time slots / vertices touched by any qualified K-set; they may lie
-    below K_T / K_G when the support is sparser than its K_T x K_G rectangle,
-    and above the floors, which are necessary but not always reached.
-    Subsets of one size are ranked ``BLOCK`` at a time in lexicographic order,
-    so ``violations`` lists them in enumeration order.
+    Counts the qualified K-sets, collects any that undercuts the necessary
+    bounds |S_T| >= ``support.floor_t`` or |S_G| >= ``support.floor_g``
+    (expected none), and records whether one is critical. Size K decides every
+    verdict. Elimination never ranks a matrix above its row count, so no
+    smaller subset qualifies and |S| >= K holds by construction. A larger
+    qualified subset holds a qualified K-set of its own pivot rows, which
+    touches no more time slots or vertices, so it adds no violation, minimum or
+    critical set. ``min_qualified_size`` is K, or ``None`` when no K-set
+    qualifies. ``min_proj_t`` / ``min_proj_g`` are the fewest time slots /
+    vertices touched by any qualified K-set; they may lie below K_T / K_G when
+    the support is sparser than its K_T x K_G rectangle, and above the floors,
+    which are necessary but not always reached.
+    Subsets are ranked ``BLOCK`` at a time in lexicographic order, so
+    ``violations`` lists them in enumeration order.
     """
     nt = support.t_dim * support.g_dim
     k = support.k
-    if max_size is None:
-        max_size = k
     _check_enumerable(nt)
-    if max_size > k + 1:
-        raise ValueError(
-            f"enumeration limited to subsets of size {k + 1}, requested {max_size}"
-        )
-    if max_size < 1:
-        raise ValueError(f"subset size must be at least 1, requested {max_size}")
     uj = _check_joint(uj, support)
 
     floor_t, floor_g = support.floor_t, support.floor_g
-    min_qualified = None
     count_at_k = 0
     violations = []
     exists_critical = False
     min_proj_t = min_proj_g = None
-    for size in range(k, max_size + 1):
-        combos = combinations(_INDICES[:nt], size)
-        while True:
-            flat = np.fromiter(chain.from_iterable(islice(combos, BLOCK)), dtype=np.intp)
-            if not flat.size:
-                break
-            block = flat.reshape(-1, size)
-            subsets = block[elimination_rank(uj[block]) == k]
-            if not len(subsets):
-                continue
-            n_t = _distinct_per_row(subsets // support.g_dim, support.t_dim)
-            n_g = _distinct_per_row(subsets % support.g_dim, support.g_dim)
-            if min_qualified is None:
-                min_qualified = size
-            bad = (n_t < floor_t) | (n_g < floor_g)
-            violations.extend(tuple(s) for s in subsets[bad].tolist())
-            if size == k:
-                count_at_k += len(subsets)
-                block_t, block_g = int(n_t.min()), int(n_g.min())
-                min_proj_t = block_t if min_proj_t is None else min(min_proj_t, block_t)
-                min_proj_g = block_g if min_proj_g is None else min(min_proj_g, block_g)
-                if np.any((n_t == support.k_t) & (n_g == support.k_g)):
-                    exists_critical = True
+    combos = combinations(_INDICES[:nt], k)
+    while True:
+        flat = np.fromiter(chain.from_iterable(islice(combos, BLOCK)), dtype=np.intp)
+        if not flat.size:
+            break
+        block = flat.reshape(-1, k)
+        subsets = block[elimination_rank(uj[block]) == k]
+        if not len(subsets):
+            continue
+        n_t = _distinct_per_row(subsets // support.g_dim, support.t_dim)
+        n_g = _distinct_per_row(subsets % support.g_dim, support.g_dim)
+        bad = (n_t < floor_t) | (n_g < floor_g)
+        violations.extend(tuple(s) for s in subsets[bad].tolist())
+        count_at_k += len(subsets)
+        block_t, block_g = int(n_t.min()), int(n_g.min())
+        min_proj_t = block_t if min_proj_t is None else min(min_proj_t, block_t)
+        min_proj_g = block_g if min_proj_g is None else min(min_proj_g, block_g)
+        if np.any((n_t == support.k_t) & (n_g == support.k_g)):
+            exists_critical = True
     return ExhaustiveReport(
-        min_qualified_size=min_qualified,
+        min_qualified_size=k if count_at_k else None,
         count_qualified_at_k=count_at_k,
         violations=tuple(violations),
         exists_critical_set=exists_critical,

@@ -262,8 +262,8 @@ def reconstruct_coefficients(values: np.ndarray, plan: SamplingPlan,
     One thin SVD of the sampled block gives its rank (``matrix_rank``'s
     default tolerance), its condition number and the least-squares solution,
     which is exact for critical-sized plans. Refuses plans whose dims are not
-    the support's, unqualified plans, near-singular systems and samples large
-    enough to overflow the solve.
+    the support's, non-finite sample values, unqualified plans, near-singular
+    systems and samples large enough to overflow the solve.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (plan.size,):
@@ -271,6 +271,8 @@ def reconstruct_coefficients(values: np.ndarray, plan: SamplingPlan,
             f"got {values.shape[0] if values.ndim == 1 else values.shape} sample "
             f"values for a plan of size {plan.size}"
         )
+    if not np.all(np.isfinite(values)):
+        raise ValueError("sample values must be finite")
     sub = _sampled_block(plan, uj, support)
     u, s, vt = np.linalg.svd(sub, full_matrices=False)
     rank = int(np.count_nonzero(s > s[0] * max(sub.shape) * np.finfo(float).eps))

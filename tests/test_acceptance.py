@@ -33,7 +33,6 @@ from jtvsampling.generate import (
     random_coeffs,
     random_connected_graph,
     random_support,
-    rectangle_support,
 )
 
 
@@ -188,7 +187,9 @@ def test_06_bandwidth_inequality():
         t_dim=5, g_dim=4, pairs=frozenset({(0, 1), (2, 1), (3, 1)})
     )
     lower_tight = single_row.k == max(single_row.k_t, single_row.k_g) == 3
-    rect = rectangle_support(5, 4, [1, 2], [0, 2])
+    rect = SpectralSupport(
+        t_dim=5, g_dim=4, pairs=frozenset({(1, 0), (1, 2), (2, 0), (2, 2)})
+    )
     upper_tight = rect.k == rect.k_t * rect.k_g == 4
     ok = holds and lower_tight and upper_tight
     _verdict(

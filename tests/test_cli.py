@@ -116,6 +116,20 @@ class TestGen:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("pairs, message", [
+        ("1,2,3", "pair '1,2,3' is not of the form jt,jg"),
+        ("1", "pair '1' is not of the form jt,jg"),
+        ("0,0;a,1", "pair 'a,1' is not of the form jt,jg"),
+        (";", "no pairs given"),
+    ])
+    def test_malformed_pairs_exit_2(self, tmp_path, capsys, pairs, message):
+        # "1,2,3" used to print "too many values to unpack (expected 2)", and
+        # "a,1" "invalid literal for int() with base 10: 'a'"
+        out = tmp_path / "s.json"
+        assert run("gen", "support", "--t", 4, "--n", 4, "--pairs", pairs, "-o", out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_signal_builds_no_joint_basis(self, workspace, monkeypatch):
         # gen signal synthesizes from the restricted bases; only the oracle
         # (verify --exhaustive) and bench need the dense (T*N, K) joint basis
@@ -639,7 +653,7 @@ class TestDispatch:
         calls = [
             ("gen", "graph", "--type", "er", "--n", 6, "--seed", 5, "--p", 0.3, "-o", "a"),
             ("gen", "graph", "--type", "cycle", "--n", 4, "-o", "b"),
-            ("verify", "--support", "s", "--exhaustive", "--max-size", 2, "--trials", 5),
+            ("verify", "--support", "s", "--exhaustive", "--trials", 5),
             ("analyze", "--graph-t", "t", "--graph-g", "g", "--signal", "x"),
             ("verify", "--support", "s"),
         ]
@@ -653,7 +667,7 @@ class TestDispatch:
             assert got == want
         er, cycle, _, analyze, verify = seen
         assert (er["seed"], er["p"], cycle["seed"], cycle["p"]) == (5, 0.3, 0, 0.5)
-        assert (verify["exhaustive"], verify["max_size"], verify["trials"]) == (False, None, 200)
+        assert (verify["exhaustive"], verify["trials"]) == (False, 200)
         assert "seed" not in analyze and "support" not in analyze
 
 
@@ -715,20 +729,16 @@ class TestVerify:
         assert (ex["floor_t"], ex["floor_g"]) == (1, 1)
         assert ex["min_proj_t"] == 1
 
-    def test_exhaustive_below_k_is_not_a_violation(self, tmp_path):
-        # subsets of one sample cannot reach rank K = 2, so no minimum is found
-        out = tmp_path / "report.json"
-        code = run("verify", *self.sparse_instance(tmp_path), "--exhaustive",
-                   "--max-size", 1, "-o", out)
-        assert code == 0
-        ex = json.loads(out.read_text())["exhaustive"]
-        assert ex["min_qualified_size"] is None
-        assert ex["violations"] == []
-
-    @pytest.mark.parametrize("option", [("--max-size", 0), ("--trials", -5)])
+    @pytest.mark.parametrize("option", [("--trials", -5)])
     def test_exhaustive_rejects_empty_checks(self, tmp_path, option):
         code = run("verify", *self.sparse_instance(tmp_path), "--exhaustive", *option)
         assert code == 2
+
+    def test_max_size_is_a_usage_error(self, tmp_path):
+        # the oracle ranks exactly the K-subsets, so there is no size to choose
+        with pytest.raises(SystemExit) as exc:
+            run("verify", *self.sparse_instance(tmp_path), "--exhaustive", "--max-size", 2)
+        assert exc.value.code == 2
 
 
 class TestBench:
@@ -747,6 +757,12 @@ class TestBench:
         out = tmp / "bench.csv"
         assert run("bench", "--sizes", 8, "--repeats", repeats, "-o", out) == 2
         assert capsys.readouterr().err == f"error: repeats must be at least 1, got {repeats}\n"
+        assert not out.exists()
+
+    def test_no_sizes_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        assert run("bench", "--sizes", ",", "-o", out) == 2
+        assert capsys.readouterr().err == "error: no sizes given\n"
         assert not out.exists()
 
     def test_explicit_instance_counts(self, workspace):

@@ -279,19 +279,8 @@ class TestExhaustiveCheck:
         with pytest.raises(ValueError, match="joint vertices"):
             exhaustive_check(np.zeros((25, 1)), support)
 
-    def test_max_size_guard(self, ref):
-        uj = joint_columns_from_restricted(ref.ut_r, ref.ug_r, ref.support)
-        with pytest.raises(ValueError, match="size"):
-            exhaustive_check(uj, ref.support, max_size=ref.support.k + 2)
-
-    @pytest.mark.parametrize("max_size", [0, -1])
-    def test_max_size_below_one_rejected(self, ref, max_size):
-        uj = joint_columns_from_restricted(ref.ut_r, ref.ug_r, ref.support)
-        with pytest.raises(ValueError, match="at least 1"):
-            exhaustive_check(uj, ref.support, max_size=max_size)
-
     def test_matches_per_subset_reference(self, monkeypatch):
-        # The report rebuilt by a plain loop over every subset, one 2-D
+        # The report rebuilt by a plain loop over every K-subset, one 2-D
         # elimination each, must equal the blocked enumeration field by field,
         # whatever the number of subsets ranked per call.
         rng = np.random.default_rng(90)
@@ -303,13 +292,11 @@ class TestExhaustiveCheck:
         ]:
             bg = eig_sym(laplacian(random_connected_graph(4, rng)))
             uj = joint_basis_columns(bt, bg, support)
-            expected = self.reference_reports(uj, support)
-            assert expected[support.k - 1].count_qualified_at_k > 0
+            expected = self.reference_report(uj, support)
+            assert expected.count_qualified_at_k > 0
             for block in (5, oracle.BLOCK):
                 monkeypatch.setattr(oracle, "BLOCK", block)
-                for max_size in range(1, support.k + 2):
-                    report = exhaustive_check(uj, support, max_size=max_size)
-                    assert report == expected[max_size - 1]
+                assert exhaustive_check(uj, support) == expected
 
     def test_reference_counts_violations_in_order(self):
         # the floors are necessary, so flagged sets only show up when the
@@ -323,48 +310,43 @@ class TestExhaustiveCheck:
         fields = ("t_dim", "g_dim", "k", "k_t", "k_g")
         raised = SimpleNamespace(floor_t=3, floor_g=3,
                                  **{f: getattr(support, f) for f in fields})
-        expected = self.reference_reports(uj, raised)[-1]
-        report = exhaustive_check(uj, raised, max_size=raised.k + 1)
-        assert len(expected.violations) > 200
+        expected = self.reference_report(uj, raised)
+        report = exhaustive_check(uj, raised)
+        assert (len(expected.violations), expected.count_qualified_at_k) == (180, 204)
         assert report == expected
         assert all(type(i) is int for s in report.violations for i in s)
 
     @staticmethod
-    def reference_reports(uj, support):
-        """Reports for max_size = 1 .. K + 1, one subset at a time."""
+    def reference_report(uj, support):
+        """The report rebuilt one K-subset at a time."""
         k = support.k
-        min_qualified, count_at_k, violations = None, 0, []
+        count_at_k, violations = 0, []
         exists_critical = False
         proj_t, proj_g = [], []
-        reports = []
-        for size in range(1, k + 2):
-            for subset in combinations(range(uj.shape[0]), size):
-                if elimination_rank(uj[list(subset)]) != k:
-                    continue
-                n_t = len({i // support.g_dim for i in subset})
-                n_g = len({i % support.g_dim for i in subset})
-                if min_qualified is None:
-                    min_qualified = size
-                if size < k or n_t < support.floor_t or n_g < support.floor_g:
-                    violations.append(subset)
-                if size == k:
-                    count_at_k += 1
-                    proj_t.append(n_t)
-                    proj_g.append(n_g)
-                    exists_critical |= (n_t, n_g) == (support.k_t, support.k_g)
-            reports.append(ExhaustiveReport(
-                min_qualified_size=min_qualified,
-                count_qualified_at_k=count_at_k,
-                violations=tuple(violations),
-                exists_critical_set=exists_critical,
-                min_proj_t=min(proj_t, default=None),
-                min_proj_g=min(proj_g, default=None),
-            ))
-        return reports
+        for subset in combinations(range(uj.shape[0]), k):
+            if elimination_rank(uj[list(subset)]) != k:
+                continue
+            n_t = len({i // support.g_dim for i in subset})
+            n_g = len({i % support.g_dim for i in subset})
+            if n_t < support.floor_t or n_g < support.floor_g:
+                violations.append(subset)
+            count_at_k += 1
+            proj_t.append(n_t)
+            proj_g.append(n_g)
+            exists_critical |= (n_t, n_g) == (support.k_t, support.k_g)
+        return ExhaustiveReport(
+            min_qualified_size=k if count_at_k else None,
+            count_qualified_at_k=count_at_k,
+            violations=tuple(violations),
+            exists_critical_set=exists_critical,
+            min_proj_t=min(proj_t, default=None),
+            min_proj_g=min(proj_g, default=None),
+        )
 
     def test_never_ranks_subsets_smaller_than_k(self, monkeypatch):
-        # a stack of fewer than K rows can never reach rank K, so ranking one
-        # is wasted work, whatever max_size asks for
+        # a stack of fewer than K rows can never reach rank K, and a larger
+        # one decides nothing that its K-row subsets do not, so every stacked
+        # call ranks K-row matrices
         rng = np.random.default_rng(92)
         bt = eig_sym(laplacian(cycle_graph(3)))
         bg = eig_sym(laplacian(random_connected_graph(4, rng)))
@@ -377,16 +359,9 @@ class TestExhaustiveCheck:
             return elimination_rank(stack, *args, **kwargs)
 
         monkeypatch.setattr(oracle, "elimination_rank", recording)
-        for max_size in range(1, support.k + 2):
-            shapes.clear()
-            report = exhaustive_check(uj, support, max_size=max_size)
-            assert all(shape[-2] >= support.k for shape in shapes)
-            if max_size < support.k:
-                assert shapes == []
-                assert report.min_qualified_size is None
-            else:
-                assert report.min_qualified_size == support.k
-                assert {shape[-2] for shape in shapes} == set(range(support.k, max_size + 1))
+        report = exhaustive_check(uj, support)
+        assert report.min_qualified_size == support.k
+        assert shapes and all(shape[-2] == support.k for shape in shapes)
 
     @staticmethod
     def oracle_tiny_instances(seed, count):

@@ -493,6 +493,16 @@ class TestReconstruct:
         with pytest.raises(IllConditionedError, match="overflow"):
             reconstruct(np.array([1e308, 1e308]), plan, uj, support)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        # bad input, not a theory violation: refused before the solve
+        support = SpectralSupport(t_dim=2, g_dim=2, pairs=frozenset({(0, 0), (1, 1)}))
+        uj = np.array([[1.0, 1.0], [1.0, -1.0], [0.0, 0.0], [0.0, 0.0]]) / np.sqrt(2)
+        plan = SamplingPlan(2, 2, frozenset({(0, 0), (0, 1)}))
+        for solve in (reconstruct_coefficients, reconstruct):
+            with pytest.raises(ValueError, match="finite"):
+                solve(np.array([bad, 1.0]), plan, uj, support)
+
     def test_overdetermined_solve_keeps_accuracy(self):
         # cond 1e7 is accepted, so the error may reach cond * eps ~ 2e-9;
         # squaring cond (normal equations) would lose about 14 of 16 digits
