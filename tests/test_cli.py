@@ -729,7 +729,7 @@ class TestVerify:
         assert (ex["floor_t"], ex["floor_g"]) == (1, 1)
         assert ex["min_proj_t"] == 1
 
-    @pytest.mark.parametrize("option", [("--trials", -5)])
+    @pytest.mark.parametrize("option", [("--trials", 0), ("--trials", -5)])
     def test_exhaustive_rejects_empty_checks(self, tmp_path, option):
         code = run("verify", *self.sparse_instance(tmp_path), "--exhaustive", *option)
         assert code == 2
