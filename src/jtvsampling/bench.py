@@ -7,11 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandlimit import SpectralSupport, restrict_bases
+from .bandlimit import restrict_bases
 from .generate import random_connected_graph, random_support
 from .graphs import cycle_graph, laplacian
 from .sampling import critical_sampling_set, max_lin_indep_rows
-from .spectral import eig_sym, joint_columns_from_restricted
+from .spectral import JointBasis, eig_sym, joint_columns_from_restricted
 
 
 @dataclass(frozen=True)
@@ -38,29 +38,31 @@ def _elapsed(fn):
     return time.perf_counter() - start
 
 
-def benchmark_case(ut_r: np.ndarray, ug_r: np.ndarray, uj: np.ndarray,
-                   support: SpectralSupport, repeats: int = 3) -> BenchRow:
-    """Time the factored construction against a full-row naive selection on
-    one prepared instance, and against that selection stopped at rank K.
-    Basis construction is not timed.
+def benchmark_case(basis: JointBasis, repeats: int = 3) -> BenchRow:
+    """Time the factored construction, called as ``jtv plan`` calls it,
+    against a full-row naive selection on one instance's joint basis, and
+    against that selection stopped at rank K.
 
-    The early-stop scan is the full scan over the rows up to its K-th pick:
-    exactly the work of a scan that ends once it reaches rank K. The calls
-    alternate for ``repeats`` rounds and each keeps its best time, so a slow
-    spell on the machine hits every side alike.
+    The naive scans read the dense (T*N, K) matrix, built here untimed like
+    the basis itself. The early-stop scan is the full scan over the rows up
+    to its K-th pick: exactly the work of a scan that ends once it reaches
+    rank K. The calls alternate for ``repeats`` rounds and each keeps its best
+    time, so a slow spell on the machine hits every side alike.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
+    ut_r, ug_r, support = basis.ut_r, basis.ug_r, basis.support
+    uj = joint_columns_from_restricted(ut_r, ug_r, support)
     picks = max_lin_indep_rows(uj)
     # a scan that never reaches rank K reads every row
     prefix = uj[:picks[support.k - 1] + 1] if len(picks) >= support.k else uj
-    calls = (lambda: critical_sampling_set(ut_r, ug_r, uj, support),
+    calls = (lambda: critical_sampling_set(ut_r, ug_r, basis, support),
              lambda: max_lin_indep_rows(uj), lambda: max_lin_indep_rows(prefix))
     best = [math.inf] * len(calls)
     for _ in range(repeats):
         best = [min(t, _elapsed(fn)) for t, fn in zip(best, calls)]
     t_fac, t_naive, t_early = best
-    plan, _ = critical_sampling_set(ut_r, ug_r, uj, support)
+    plan, _ = critical_sampling_set(ut_r, ug_r, basis, support)
     return BenchRow(
         t_dim=support.t_dim,
         g_dim=support.g_dim,
@@ -75,27 +77,21 @@ def benchmark_case(ut_r: np.ndarray, ug_r: np.ndarray, uj: np.ndarray,
     )
 
 
-def prepare_case(n: int, seed: int = 0):
-    """Cycle time graph and random connected vertex graph of size n with a
-    random support of bandwidths K_T = K_G = ceil(n / 4)."""
+def prepare_case(n: int, seed: int = 0) -> JointBasis:
+    """Joint basis of a cycle time graph and a random connected vertex graph
+    of size n, on a random support of bandwidths K_T = K_G = ceil(n / 4)."""
     rng = np.random.default_rng(seed)
     k_t = k_g = max(1, math.ceil(n / 4))
     basis_t = eig_sym(laplacian(cycle_graph(n)))
     basis_g = eig_sym(laplacian(random_connected_graph(n, rng)))
     k = (max(k_t, k_g) + k_t * k_g + 1) // 2
     support = random_support(n, n, rng, k_t=k_t, k_g=k_g, k=k)
-    ut_r, ug_r = restrict_bases(basis_t, basis_g, support)
-    uj = joint_columns_from_restricted(ut_r, ug_r, support)
-    return ut_r, ug_r, uj, support
+    return JointBasis(*restrict_bases(basis_t, basis_g, support), support)
 
 
 def benchmark(sizes, seed: int = 0, repeats: int = 3):
     """One :class:`BenchRow` per size n, with T = N = n."""
-    rows = []
-    for n in sizes:
-        ut_r, ug_r, uj, support = prepare_case(n, seed=seed)
-        rows.append(benchmark_case(ut_r, ug_r, uj, support, repeats=repeats))
-    return rows
+    return [benchmark_case(prepare_case(n, seed=seed), repeats=repeats) for n in sizes]
 
 
 def write_bench_csv(rows, path):

@@ -23,7 +23,7 @@ EXIT_THEORY = 3
 
 
 def _parse_pairs(text):
-    pairs = []
+    pairs = set()
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
@@ -32,7 +32,9 @@ def _parse_pairs(text):
             jt, jg = map(int, chunk.split(","))
         except ValueError:  # not two values, or not integers
             raise ValueError(f"pair {chunk!r} is not of the form jt,jg") from None
-        pairs.append((jt, jg))
+        if (jt, jg) in pairs:
+            raise ValueError(f"pair {chunk!r} is given twice")
+        pairs.add((jt, jg))
     if not pairs:
         raise ValueError("no pairs given")
     return frozenset(pairs)
@@ -78,7 +80,10 @@ def cmd_gen_graph(args):
 
 
 def cmd_gen_support(args):
-    if args.pairs:
+    if args.pairs is not None:
+        flags = [f"--{k}" for k in ("kt", "kg", "k") if getattr(args, k) is not None]
+        if flags:
+            raise ValueError(f"{', '.join(flags)} cannot be given with --pairs")
         support = bandlimit.SpectralSupport(
             t_dim=args.t, g_dim=args.n, pairs=_parse_pairs(args.pairs)
         )
@@ -199,10 +204,7 @@ def cmd_verify(args):
 
 def cmd_bench(args):
     if args.support:
-        basis = _load_restricted(args)
-        ut_r, ug_r, support = basis.ut_r, basis.ug_r, basis.support
-        uj = spectral.joint_columns_from_restricted(ut_r, ug_r, support)
-        rows = [bench.benchmark_case(ut_r, ug_r, uj, support, repeats=args.repeats)]
+        rows = [bench.benchmark_case(_load_restricted(args), repeats=args.repeats)]
     else:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
         if not sizes:
@@ -251,7 +253,8 @@ def build_parser():
                             help="write a spectral support JSON file")
     gs.add_argument("--t", type=int, required=True, help="time length T")
     gs.add_argument("--n", type=int, required=True, help="vertex count N")
-    gs.add_argument("--pairs", help='explicit pairs "jt,jg;jt,jg;..." (0-based)')
+    gs.add_argument("--pairs", help='explicit pairs "jt,jg;jt,jg;..." (0-based, each '
+                    'once); not with --kt, --kg or --k')
     gs.add_argument("--kt", type=int, default=None)
     gs.add_argument("--kg", type=int, default=None)
     gs.add_argument("--k", type=int, default=None)
@@ -331,7 +334,7 @@ def main(argv=None):
             sampling.RankDeficiencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_THEORY
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -166,7 +166,7 @@ def exhaustive_check(uj: np.ndarray, support: SpectralSupport) -> ExhaustiveRepo
     )
 
 
-def check_monotonicity(uj: np.ndarray, trials: int, rng=None) -> bool:
+def check_monotonicity(uj: np.ndarray, trials: int, rng) -> bool:
     """Rank never drops when a sample set grows: random nested pairs S1 in S2.
 
     A trial draws a size for S2, one for S1 no larger, and a random order of
@@ -184,8 +184,6 @@ def check_monotonicity(uj: np.ndarray, trials: int, rng=None) -> bool:
     _check_enumerable(nt)
     if trials < 1:
         raise ValueError(f"monotonicity needs at least 1 trial, got {trials}")
-    if rng is None:
-        rng = np.random.default_rng(0)
     # a trial ranks two nt-row matrices, about 8 times the rows of one
     # enumerated subset at the size limit, so a call takes fewer trials
     per_call = BLOCK // 8

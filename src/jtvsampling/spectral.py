@@ -30,9 +30,9 @@ def eig_sym(mat: np.ndarray) -> EigenBasis:
     basis is whatever the LAPACK build returns.
     """
     a = np.array(mat, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {a.shape}")
     n = a.shape[0]
-    if a.ndim != 2 or a.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     # np.allclose(a, a.T, atol=1e-10) written out: the same test without its

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from jtvsampling import cycle_graph, laplacian, star_graph
-from jtvsampling import cli, fileio, oracle, spectral
+from jtvsampling import bench, cli, fileio, oracle, spectral
 from jtvsampling.cli import main
 
 
@@ -121,12 +121,27 @@ class TestGen:
         ("1", "pair '1' is not of the form jt,jg"),
         ("0,0;a,1", "pair 'a,1' is not of the form jt,jg"),
         (";", "no pairs given"),
+        ("", "no pairs given"),
+        ("1,1; 2,2 ;2,2", "pair '2,2' is given twice"),
     ])
     def test_malformed_pairs_exit_2(self, tmp_path, capsys, pairs, message):
-        # "1,2,3" used to print "too many values to unpack (expected 2)", and
-        # "a,1" "invalid literal for int() with base 10: 'a'"
+        # "1,2,3" used to print "too many values to unpack (expected 2)",
+        # "a,1" "invalid literal for int() with base 10: 'a'", "" wrote a
+        # random support, and a repeated pair was folded into one
         out = tmp_path / "s.json"
         assert run("gen", "support", "--t", 4, "--n", 4, "--pairs", pairs, "-o", out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sizes, message", [
+        (["--kt", 3], "--kt cannot be given with --pairs"),
+        (["--kg", 1, "--k", 2], "--kg, --k cannot be given with --pairs"),
+    ])
+    def test_sizes_with_pairs_exit_2(self, tmp_path, capsys, sizes, message):
+        # --kt 3 used to be ignored: the file held K_T = 2
+        out = tmp_path / "s.json"
+        assert run("gen", "support", "--t", 4, "--n", 4, "--pairs", "1,1;2,2",
+                   *sizes, "-o", out) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
@@ -575,6 +590,20 @@ class TestDenseFree:
         monkeypatch.undo()
         assert run("verify", *inputs, "--exhaustive", "-o", p("report.json")) == 0
         assert run("bench", *inputs, "--repeats", 1, "-o", p("bench.csv")) == 0
+
+    def test_bench_plans_from_the_joint_basis(self, workspace, monkeypatch):
+        # bench builds the dense matrix for its naive scans alone: the planner
+        # it times is handed the JointBasis, as jtv plan hands it
+        tmp, paths = workspace
+
+        class Refuse:
+            def __init__(self, *args):
+                raise AssertionError("bench handed the planner a dense uj")
+
+        monkeypatch.setattr(spectral, "_DenseJoint", Refuse)
+        assert len(bench.benchmark([8, 12], repeats=1)) == 2
+        assert run("bench", "--support", paths["support"], "--basis-file", paths["basis"],
+                   "--repeats", 1, "-o", tmp / "bench.csv") == 0
 
     def test_plan_and_reconstruct_peak_below_dense_basis(self, tmp_path):
         # T = N = 64 with a full 16 x 16 rectangle: K = 256, and the dense

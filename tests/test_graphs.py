@@ -144,6 +144,14 @@ class TestPathStar:
         with pytest.raises(ValueError, match="center"):
             star_graph(4, center=4)
 
+    @pytest.mark.parametrize("make, n, message", [
+        (star_graph, 1, "star graph needs at least 2 vertices, got 1"),
+        (path_graph, 0, "path graph needs at least 1 vertex, got 0"),
+    ])
+    def test_too_small_rejected(self, make, n, message):
+        with pytest.raises(ValueError, match=message):
+            make(n)
+
 
 class TestCartesianLaplacian:
     def test_two_by_two_by_hand(self):

@@ -455,13 +455,13 @@ class TestMonotonicity:
 
     def test_size_guard(self):
         with pytest.raises(ValueError, match="joint vertices"):
-            check_monotonicity(np.ones((21, 2)), 1)
+            check_monotonicity(np.ones((21, 2)), 1, rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("trials", [0, -5])
     def test_trials_below_one_rejected(self, ref, trials):
         uj = joint_columns_from_restricted(ref.ut_r, ref.ug_r, ref.support)
         with pytest.raises(ValueError, match="at least 1 trial"):
-            check_monotonicity(uj, trials)
+            check_monotonicity(uj, trials, rng=np.random.default_rng(0))
 
     def test_compares_each_trial_pair(self, monkeypatch):
         # true ranks never drop, so a drop is planted in the rank function:

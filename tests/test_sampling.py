@@ -176,7 +176,9 @@ class TestCriticalSamplingSet:
         # scan gave 1/sigma_min 3.0e3 (n = 48) and 1.15e4 (n = 64) for the
         # critical plan and up to 1.2e8 for the separate rectangle's
         # 1/(sigma_min(A) sigma_min(B)), all at seed 0
-        ut_r, ug_r, uj, support = bench.prepare_case(n, seed)
+        basis = bench.prepare_case(n, seed)
+        ut_r, ug_r, support = basis.ut_r, basis.ug_r, basis.support
+        uj = joint_columns_from_restricted(ut_r, ug_r, support)
         plan, report = critical_sampling_set(ut_r, ug_r, uj, support)
         assert report.critical
         assert np.linalg.cond(uj[plan.linear_indices()]) < 1e5
@@ -304,7 +306,9 @@ class TestJointBasisInput:
             self.assert_same_results(ut_r, ug_r, uj, support, rng)
 
     def test_bench_instance(self):
-        ut_r, ug_r, uj, support = bench.prepare_case(48, seed=1)
+        basis = bench.prepare_case(48, seed=1)
+        ut_r, ug_r, support = basis.ut_r, basis.ug_r, basis.support
+        uj = joint_columns_from_restricted(ut_r, ug_r, support)
         self.assert_same_results(ut_r, ug_r, uj, support, np.random.default_rng(2))
 
     @SAMPLED_BLOCK_USES
@@ -340,7 +344,10 @@ class TestPlanFromFactors:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bench_instances(self, n, seed):
         # step 3 used to read its rows from uj, so every one of these plans moved
-        self.assert_row_order_ignored(*bench.prepare_case(n, seed=seed), seed)
+        basis = bench.prepare_case(n, seed=seed)
+        ut_r, ug_r, support = basis.ut_r, basis.ug_r, basis.support
+        uj = joint_columns_from_restricted(ut_r, ug_r, support)
+        self.assert_row_order_ignored(ut_r, ug_r, uj, support, seed)
 
     DENSE_ONLY = {"_DenseJoint", "_check_joint", "_check_restricted", "unvec"}
 

@@ -46,6 +46,13 @@ class TestEigSym:
         with pytest.raises(ValueError, match="square"):
             eig_sym(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("mat, shape", [(3.0, r"\(\)"), (np.zeros((0, 0)), r"\(0, 0\)")],
+                             ids=["0-d", "0x0"])
+    def test_non_matrix_rejected(self, mat, shape):
+        # a 0-d input used to raise IndexError, a 0 x 0 one numpy's argmax error
+        with pytest.raises(ValueError, match=f"non-empty square matrix, got shape {shape}"):
+            eig_sym(mat)
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_rejected(self, bad):
         # a symmetric matrix holding inf passes np.allclose and gives an
