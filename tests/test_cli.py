@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from jtvsampling import cycle_graph, laplacian, star_graph
-from jtvsampling import bench, cli, fileio, oracle, spectral
+from jtvsampling import bench, cli, fileio, oracle, sampling, spectral
 from jtvsampling.cli import main
 
 
@@ -379,19 +380,36 @@ class TestRoundTrip:
         assert self.reconstruct_with_samples(workspace, lambda v: [bad] + v[1:]) == 2
 
     def test_nan_reconstruction_fails_reference_check(self, workspace):
-        # finite samples near the float limit overflow inside the solve and
-        # give a NaN signal, whose NaN error must not pass the tolerance
+        # these samples reconstruct to a finite signal of size about 1e308, so
+        # the max-abs error against x.csv is about 1e308 and --reference must
+        # refuse it
         huge = lambda v: ["1e308", "-1e308", "1e308"][: len(v)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert self.reconstruct_with_samples(workspace, huge) == 3
+        assert self.reconstruct_with_samples(workspace, huge) == 3
 
     def test_overflowing_samples_exit_3_without_reference(self, workspace):
         # the solve must refuse non-finite coefficients itself, so that no
         # inf / NaN signal is written when there is no reference to compare
         tmp, _ = workspace
-        huge = lambda v: ["1e308", "-1e308", "1e308"][: len(v)]
+        huge = lambda v: ["1.7e308", "-1.7e308", "1.7e308"][: len(v)]
         assert self.reconstruct_with_samples(workspace, huge, reference=False) == 3
         assert not (tmp / "r.csv").exists()
+
+    def test_huge_representable_samples_reconstruct(self, workspace):
+        # the solve scales the samples before it divides, so samples near the
+        # float limit whose solution is representable reconstruct and re-sample
+        # to themselves, through the library and through jtv reconstruct
+        tmp, paths = workspace
+        huge = ["1e308", "-1e308", "1e308"]
+        assert self.reconstruct_with_samples(workspace, lambda v: huge, reference=False) == 0
+        plan = fileio.load_plan(tmp / "plan.json")
+        _, values = fileio.load_samples(tmp / "samples.csv")
+        assert np.array_equal(values, [1e308, -1e308, 1e308])
+        support = fileio.load_support(paths["support"])
+        bases = [spectral.eig_sym(laplacian(fileio.load_graph(paths[g]))) for g in ("gt", "gg")]
+        basis = spectral.JointBasis(*spectral.restrict_bases(*bases, support), support)
+        for x_rec in (fileio.load_signal(tmp / "r.csv"),
+                      sampling.reconstruct(values, plan, basis, support)):
+            assert np.allclose(sampling.sample(x_rec, plan), values, rtol=1e-12, atol=0)
 
     def reconstruct_after(self, workspace, edit, reference=False):
         """Exit code of ``reconstruct`` (with ``--reference x.csv`` if asked)
@@ -804,3 +822,41 @@ class TestBench:
         assert cols["samples_critical"] == "3"
         assert cols["samples_separate"] == "4"
         assert float(cols["time_naive_early"]) > 0
+
+    def test_support_with_sizes_is_a_usage_error(self, workspace):
+        # used to bench the --support instance and drop the sweep without a word
+        tmp, paths = workspace
+        out = tmp / "bench.csv"
+        with pytest.raises(SystemExit) as exc:
+            run("bench", "--support", paths["support"], "--basis-file", paths["basis"],
+                "--sizes", "64,128", "--repeats", 1, "-o", out)
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_planner_runs_once_per_repeat(self, monkeypatch):
+        # samples_critical is K, so no untimed extra plan is built to read it
+        calls = []
+        planner = bench.critical_sampling_set
+
+        def counted(*args):
+            calls.append(1)
+            return planner(*args)
+
+        monkeypatch.setattr(bench, "critical_sampling_set", counted)
+        row = bench.benchmark_case(bench.prepare_case(8, seed=0), repeats=3)
+        assert len(calls) == 3
+        assert row.samples_critical == row.k
+
+
+class TestReadme:
+    def test_walkthrough_runs(self, tmp_path, monkeypatch):
+        # every jtv line of the walkthrough's sh block, continued lines joined;
+        # its reconstruct --reference also checks the reconstruction error
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = text.split("## CLI walkthrough", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = block.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line)[1:] for line in lines if line.startswith("jtv ")]
+        assert len(commands) == 10
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            assert main(argv) == 0, argv
