@@ -11,7 +11,7 @@ from .bandlimit import restrict_bases
 from .generate import random_connected_graph, random_support
 from .graphs import cycle_graph, laplacian
 from .sampling import critical_sampling_set, max_lin_indep_rows
-from .spectral import JointBasis, eig_sym, joint_columns_from_restricted
+from .spectral import JointBasis, eig_sym
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def benchmark_case(basis: JointBasis, repeats: int = 3) -> BenchRow:
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
     ut_r, ug_r, support = basis.ut_r, basis.ug_r, basis.support
-    uj = joint_columns_from_restricted(ut_r, ug_r, support)
+    uj = basis.dense()
     picks = max_lin_indep_rows(uj)
     # a scan that never reaches rank K reads every row
     prefix = uj[:picks[support.k - 1] + 1] if len(picks) >= support.k else uj

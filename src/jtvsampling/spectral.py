@@ -66,19 +66,6 @@ def restrict_bases(basis_t: EigenBasis, basis_g: EigenBasis, support):
     return ut_r, ug_r
 
 
-def _check_restricted(ut_r, ug_r, support):
-    """Float ``ut_r``, ``ug_r``; ``ValueError`` unless they are (T, K_T), (N, K_G)."""
-    ut_r = np.asarray(ut_r, dtype=float)
-    ug_r = np.asarray(ug_r, dtype=float)
-    want_t, want_g = (support.t_dim, support.k_t), (support.g_dim, support.k_g)
-    if ut_r.shape != want_t or ug_r.shape != want_g:
-        raise ValueError(
-            f"restricted bases of shapes {ut_r.shape}, {ug_r.shape} do not match "
-            f"the support's dims and bandwidths {want_t}, {want_g}"
-        )
-    return ut_r, ug_r
-
-
 def _check_joint(uj, support):
     """Float ``uj``; ``ValueError`` unless it is (T*N, K)."""
     uj = np.asarray(uj, dtype=float)
@@ -89,44 +76,37 @@ def _check_joint(uj, support):
     return uj
 
 
-def _pair_columns(support):
-    """Positions in ``ut_r`` / ``ug_r`` of each support pair's time / graph
-    frequency, in the support's canonical (j_t, j_g) order."""
-    tpos = {f: i for i, f in enumerate(support.time_freqs)}
-    gpos = {f: i for i, f in enumerate(support.graph_freqs)}
-    pairs = support.sorted_pairs
-    return [tpos[jt] for jt, _ in pairs], [gpos[jg] for _, jg in pairs]
-
-
-def joint_columns_from_restricted(ut_r: np.ndarray, ug_r: np.ndarray, support) -> np.ndarray:
-    """Joint basis columns built from the restricted time / graph bases.
-
-    Column for support pair (j_t, j_g) is the Kronecker product of the
-    corresponding columns; column order follows the support's canonical
-    (j_t, j_g) sort. Shape is (N*T, K) without ever forming the full product
-    basis. Raises ``ValueError`` unless ``ut_r`` is (T, K_T) and ``ug_r`` is
-    (N, K_G).
-    """
-    ut_r, ug_r = _check_restricted(ut_r, ug_r, support)
-    ti, gi = _pair_columns(support)
-    # entry (t, v, k) is ut_r[t, ti[k]] * ug_r[v, gi[k]], so row t * N + v of
-    # the reshape is np.kron(ut_r[:, ti[k]], ug_r[:, gi[k]])[t * N + v]
-    return (ut_r[:, None, ti] * ug_r[None, :, gi]).reshape(-1, len(ti))
-
-
 class JointBasis:
     """The (T*N, K) joint basis of a support, held as its Kronecker factors.
 
-    Row ``t * N + v`` is ``ut_r[t, ti] * ug_r[v, gi]`` and column k belongs to
-    the support's k-th pair in canonical order, as in
-    :func:`joint_columns_from_restricted`; the N*T x K matrix is never formed.
-    Raises ``ValueError`` unless ``ut_r`` is (T, K_T) and ``ug_r`` is (N, K_G).
+    Row ``t * N + v`` is ``ut_r[t, ti] * ug_r[v, gi]``, where column k belongs
+    to the support's k-th pair (j_t, j_g) in canonical order and ``ti[k]`` /
+    ``gi[k]`` are the positions of j_t / j_g among the support's time / graph
+    frequencies. The N*T x K matrix is formed only by :meth:`dense`. Raises
+    ``ValueError`` unless ``ut_r`` is (T, K_T) and ``ug_r`` is (N, K_G).
     """
 
     def __init__(self, ut_r: np.ndarray, ug_r: np.ndarray, support):
-        self.ut_r, self.ug_r = _check_restricted(ut_r, ug_r, support)
-        self.support = support
-        self._ti, self._gi = (np.array(c, dtype=np.intp) for c in _pair_columns(support))
+        ut_r = np.asarray(ut_r, dtype=float)
+        ug_r = np.asarray(ug_r, dtype=float)
+        want_t, want_g = (support.t_dim, support.k_t), (support.g_dim, support.k_g)
+        if ut_r.shape != want_t or ug_r.shape != want_g:
+            raise ValueError(f"restricted bases of shapes {ut_r.shape}, {ug_r.shape} do not "
+                             f"match the support's dims and bandwidths {want_t}, {want_g}")
+        self.ut_r, self.ug_r, self.support = ut_r, ug_r, support
+        tpos = {f: i for i, f in enumerate(support.time_freqs)}
+        gpos = {f: i for i, f in enumerate(support.graph_freqs)}
+        pairs = support.sorted_pairs
+        self._ti = np.array([tpos[jt] for jt, _ in pairs], dtype=np.intp)
+        self._gi = np.array([gpos[jg] for _, jg in pairs], dtype=np.intp)
+
+    def dense(self) -> np.ndarray:
+        """The (T*N, K) matrix itself, in one broadcast: column k is the
+        Kronecker product of the factors' columns ``ti[k]`` and ``gi[k]``."""
+        # entry (t, v, k) is ut_r[t, ti[k]] * ug_r[v, gi[k]], so row t * N + v of
+        # the reshape is np.kron(ut_r[:, ti[k]], ug_r[:, gi[k]])[t * N + v]
+        return (self.ut_r[:, None, self._ti] * self.ug_r[None, :, self._gi]).reshape(
+            -1, self.support.k)
 
     def rows(self, idx) -> np.ndarray:
         """Rows at linear indices ``t * N + v``, in the order given; the same
@@ -168,6 +148,12 @@ def _joint(uj, support):
             raise ValueError("joint basis was built for another support")
         return uj
     return _DenseJoint(_check_joint(uj, support), support)
+
+
+def joint_columns_from_restricted(ut_r: np.ndarray, ug_r: np.ndarray, support) -> np.ndarray:
+    """``JointBasis(ut_r, ug_r, support).dense()``: the (T*N, K) joint basis
+    columns built from the restricted time / graph bases."""
+    return JointBasis(ut_r, ug_r, support).dense()
 
 
 def joint_basis_columns(basis_t: EigenBasis, basis_g: EigenBasis, support) -> np.ndarray:

@@ -154,7 +154,7 @@ class TestGen:
         def refuse(*args):
             raise AssertionError("gen signal built the joint basis")
 
-        monkeypatch.setattr(spectral, "joint_columns_from_restricted", refuse)
+        monkeypatch.setattr(spectral.JointBasis, "dense", refuse)
         for bases in (["--basis-file", paths["basis"]],
                       ["--graph-t", paths["gt"], "--graph-g", paths["gg"]]):
             assert run("gen", "signal", "--support", paths["support"], *bases,
@@ -215,6 +215,23 @@ class TestSharedInputs:
         basis.write_text(json.dumps(data))
         out = tmp / "out.txt"
         assert run(*self.basis_command(name, tmp, paths, basis), "-o", out) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["gen signal", "plan", "reconstruct", "verify", "bench"])
+    @pytest.mark.parametrize("graphs", ["graph-t", "graph-g", "both"])
+    def test_graphs_with_basis_file_exit_2(self, workspace, capsys, name, graphs):
+        # --graph-t / --graph-g used to be ignored beside --basis-file, even
+        # when the file they named did not exist
+        tmp, paths = workspace
+        argv = self.basis_command(name, tmp, paths, paths["basis"])
+        flags = {"graph-t": ["--graph-t", tmp / "missing.json"],
+                 "graph-g": ["--graph-g", tmp / "missing.json"],
+                 "both": ["--graph-t", paths["gt"], "--graph-g", paths["gg"]]}[graphs]
+        capsys.readouterr()
+        out = tmp / "out.txt"
+        assert run(*argv, *flags, "-o", out) == 2
+        given = flags[0] if graphs != "both" else "--graph-t, --graph-g"
+        assert capsys.readouterr().err == f"error: {given} cannot be given with --basis-file\n"
         assert not out.exists()
 
     SEEDED = {
@@ -296,6 +313,25 @@ class TestPlan:
     def test_missing_inputs_exit_2(self, workspace, tmp_path):
         _, paths = workspace
         assert run("plan", "--support", paths["support"], "-o", tmp_path / "p.json") == 2
+
+    @pytest.mark.parametrize("eps, code", [(1e-5, 3), (1e-3, 0)])
+    def test_product_rank_refusal(self, tmp_path, capsys, eps, code):
+        # both factors [[1, 0], [1, eps]] on the full 2 x 2 support: step 1
+        # keeps both rows of each; at eps = 1e-5 step 3 falls short of K = 4
+        # and nothing is written, at eps = 1e-3 the 4-sample plan is built
+        support, basis, out = tmp_path / "s.json", tmp_path / "b.json", tmp_path / "p.json"
+        assert run("gen", "support", "--t", 2, "--n", 2, "--pairs", "0,0;0,1;1,0;1,1",
+                   "-o", support) == 0
+        factor = np.array([[1.0, 0.0], [1.0, eps]])
+        fileio.save_basis_pair(factor, factor, basis)
+        capsys.readouterr()
+        assert run("plan", "--support", support, "--basis-file", basis, "-o", out) == code
+        if code:
+            assert capsys.readouterr().err == (
+                "error: step 3: product rows have rank 3 < 4\n")
+            assert not out.exists()
+        else:
+            assert len(json.loads(out.read_text())["samples"]) == 4
 
 
 class TestRoundTrip:
@@ -379,12 +415,28 @@ class TestRoundTrip:
     def test_non_finite_samples_exit_2(self, workspace, bad):
         assert self.reconstruct_with_samples(workspace, lambda v: [bad] + v[1:]) == 2
 
-    def test_nan_reconstruction_fails_reference_check(self, workspace):
+    def test_huge_reconstruction_error_fails_reference_check(self, workspace):
         # these samples reconstruct to a finite signal of size about 1e308, so
-        # the max-abs error against x.csv is about 1e308 and --reference must
-        # refuse it
+        # the max-abs error against x.csv is a finite 1e308 or so, far above
+        # the tolerance, and --reference must refuse it
         huge = lambda v: ["1e308", "-1e308", "1e308"][: len(v)]
         assert self.reconstruct_with_samples(workspace, huge) == 3
+
+    def test_exact_zero_reconstruction_passes_reference_check(self, workspace, capsys):
+        # error 0 against an all-zero reference of norm 0 used to fail the
+        # check "not err < 1e-6 * scale" and exit 3
+        tmp, paths = workspace
+        basis = ["--support", paths["support"], "--basis-file", paths["basis"]]
+        signal, plan, samples = tmp / "x.csv", tmp / "plan.json", tmp / "samples.csv"
+        fileio.save_signal(np.zeros((4, 4)), signal)
+        assert run("plan", *basis, "-o", plan) == 0
+        assert run("sample", "--signal", signal, "--plan", plan, "-o", samples) == 0
+        capsys.readouterr()
+        assert run("reconstruct", *basis, "--plan", plan, "--samples", samples,
+                   "--reference", signal, "-o", tmp / "r.csv") == 0
+        captured = capsys.readouterr()
+        assert "max-abs-error 0.000e+00" in captured.out and captured.err == ""
+        assert np.array_equal(fileio.load_signal(tmp / "r.csv"), np.zeros((4, 4)))
 
     def test_overflowing_samples_exit_3_without_reference(self, workspace):
         # the solve must refuse non-finite coefficients itself, so that no
@@ -596,7 +648,7 @@ class TestDenseFree:
         def refuse(*args):
             raise AssertionError("the dense joint basis was built")
 
-        monkeypatch.setattr(spectral, "joint_columns_from_restricted", refuse)
+        monkeypatch.setattr(spectral.JointBasis, "dense", refuse)
         assert run("gen", "signal", *inputs, "--seed", 9, "-o", p("x.csv")) == 0
         assert run("plan", *inputs, "-o", p("plan.json")) == 0
         assert run("sample", "--signal", p("x.csv"), "--plan", p("plan.json"),
@@ -669,6 +721,20 @@ class TestDispatch:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": str(src)}, check=True)
         assert out.stdout.strip() == "0"
+
+    def test_runs_as_module(self, tmp_path):
+        # python -m jtvsampling.cli hands main's exit code to the shell
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        module = [sys.executable, "-m", "jtvsampling.cli"]
+        out = subprocess.run([*module, "--help"], capture_output=True, text=True, env=env)
+        assert out.returncode == 0 and out.stdout.startswith("usage: jtv")
+        missing = tmp_path / "missing.json"
+        out = subprocess.run([*module, "plan", "--support", missing, "--graph-t", missing,
+                              "--graph-g", missing, "-o", tmp_path / "p.json"],
+                             capture_output=True, text=True, env=env)
+        assert out.returncode == 2 and out.stderr.startswith("error: ")
+        assert not (tmp_path / "p.json").exists()
 
     def test_parser_built_once(self, tmp_path, monkeypatch, fresh_parser):
         builds = []
@@ -822,6 +888,16 @@ class TestBench:
         assert cols["samples_critical"] == "3"
         assert cols["samples_separate"] == "4"
         assert float(cols["time_naive_early"]) > 0
+
+    @pytest.mark.parametrize("flag", ["--graph-t", "--graph-g", "--basis-file"])
+    def test_basis_flag_without_support_exit_2(self, tmp_path, capsys, flag):
+        # the --sizes sweep builds its own instances; it used to run and
+        # ignore the flag, even when the file it named did not exist
+        out = tmp_path / "bench.csv"
+        assert run("bench", "--sizes", 8, flag, tmp_path / "missing.json",
+                   "--repeats", 1, "-o", out) == 2
+        assert capsys.readouterr().err == f"error: {flag} cannot be given without --support\n"
+        assert not out.exists()
 
     def test_support_with_sizes_is_a_usage_error(self, workspace):
         # used to bench the --support instance and drop the sweep without a word

@@ -207,6 +207,17 @@ class TestCriticalSamplingSet:
         with pytest.raises(RankDeficiencyError, match="step 1"):
             separate_sampling(ref.ut_r, np.zeros_like(ref.ug_r))
 
+    def test_product_rank_short_raises_step_3(self):
+        # step 1 accepts both rows of each factor (residual 1e-5 > 1e-9), but the
+        # four product rows reach rank 4 only through a 1e-10 component, below
+        # 1e-9 of a row's norm
+        factor = np.array([[1.0, 0.0], [1.0, 1e-5]])
+        full = SpectralSupport(t_dim=2, g_dim=2, pairs={(0, 0), (0, 1), (1, 0), (1, 1)})
+        uj = JointBasis(factor, factor, full)
+        with pytest.raises(RankDeficiencyError,
+                           match=r"^step 3: product rows have rank 3 < 4$"):
+            critical_sampling_set(factor, factor, uj, full)
+
     def test_shape_mismatch(self, ref):
         uj = joint_columns_from_restricted(ref.ut_r, ref.ug_r, ref.support)
         with pytest.raises(ValueError, match="shape"):
