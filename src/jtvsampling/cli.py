@@ -176,12 +176,15 @@ def cmd_reconstruct(args):
     fileio.save_signal(x_rec, args.out)
     print(f"wrote reconstruction to {args.out}")
     if x_ref is not None:
-        err = float(np.max(np.abs(x_rec - x_ref)))
-        scale = float(np.linalg.norm(x_ref))
+        # err is finite, or +inf past the float range, which fails (reconstruct and
+        # load_signal refuse non-finite values); the norm is taken in units of
+        # m = max|x_ref|, where it cannot overflow; with m = 0 only err = 0 passes
+        m = np.max(np.abs(x_ref))
+        with np.errstate(over="ignore"):
+            err = np.max(np.abs(x_rec - x_ref))
+            above = err > 0 if m == 0 else err / m > 1e-6 * np.linalg.norm(x_ref / m)
         print(f"max-abs-error {err:.3e}")
-        # reconstruct and load_signal refuse non-finite values, so err is finite
-        # or +inf, never NaN; an exact result on an all-zero reference passes
-        if err > 1e-6 * scale:
+        if above:
             print("reconstruction error above tolerance", file=sys.stderr)
             return EXIT_THEORY
     return EXIT_OK
@@ -241,27 +244,30 @@ def build_parser():
         "time-vertex graph signals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # shared inputs: the bases from two graph files or one basis file, and
-    # the random seed, which main falls back to $JTV_SEED for
+    # shared inputs: the bases (two graph files or one basis file), the instance
+    # (bases and --support), the seed (main falls back to $JTV_SEED) and --out
     bases = argparse.ArgumentParser(add_help=False)
     bases.add_argument("--graph-t")
     bases.add_argument("--graph-g")
     bases.add_argument("--basis-file", default=None)
+    instance = argparse.ArgumentParser(add_help=False, parents=[bases])
+    instance.add_argument("--support", required=True)
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=None)
+    written = argparse.ArgumentParser(add_help=False)
+    written.add_argument("--out", "-o", required=True)
 
     gen = sub.add_parser("gen", help="generate graphs, supports, and signals")
     gen_sub = gen.add_subparsers(dest="what", required=True)
 
-    gg = gen_sub.add_parser("graph", parents=[seeded], help="write a graph JSON file")
+    gg = gen_sub.add_parser("graph", parents=[seeded, written], help="write a graph JSON file")
     gg.add_argument("--type", choices=["cycle", "star", "path", "er"], required=True)
     gg.add_argument("--n", type=int, required=True)
     gg.add_argument("--center", type=int, default=0, help="star center (0-based)")
     gg.add_argument("--p", type=float, default=0.5, help="edge probability for er")
-    gg.add_argument("--out", "-o", required=True)
     gg.set_defaults(cmd="cmd_gen_graph")
 
-    gs = gen_sub.add_parser("support", parents=[seeded],
+    gs = gen_sub.add_parser("support", parents=[seeded, written],
                             help="write a spectral support JSON file")
     gs.add_argument("--t", type=int, required=True, help="time length T")
     gs.add_argument("--n", type=int, required=True, help="vertex count N")
@@ -270,13 +276,10 @@ def build_parser():
     gs.add_argument("--kt", type=int, default=None)
     gs.add_argument("--kg", type=int, default=None)
     gs.add_argument("--k", type=int, default=None)
-    gs.add_argument("--out", "-o", required=True)
     gs.set_defaults(cmd="cmd_gen_support")
 
-    gx = gen_sub.add_parser("signal", parents=[bases, seeded],
+    gx = gen_sub.add_parser("signal", parents=[instance, seeded, written],
                             help="synthesize a bandlimited signal CSV")
-    gx.add_argument("--support", required=True)
-    gx.add_argument("--out", "-o", required=True)
     gx.set_defaults(cmd="cmd_gen_signal")
 
     an = sub.add_parser("analyze", help="detect the spectral support of a signal")
@@ -287,43 +290,38 @@ def build_parser():
     an.add_argument("--out", "-o", default=None)
     an.set_defaults(cmd="cmd_analyze")
 
-    pl = sub.add_parser("plan", parents=[bases], help="construct a critical sampling plan")
-    pl.add_argument("--support", required=True)
+    pl = sub.add_parser("plan", parents=[instance, written],
+                        help="construct a critical sampling plan")
     pl.add_argument("--schedule", default=None, help="write per-vertex schedule here")
-    pl.add_argument("--out", "-o", required=True)
     pl.set_defaults(cmd="cmd_plan")
 
-    sm = sub.add_parser("sample", help="sample a signal at a plan's points")
+    sm = sub.add_parser("sample", parents=[written], help="sample a signal at a plan's points")
     sm.add_argument("--signal", required=True)
     sm.add_argument("--plan", required=True)
-    sm.add_argument("--out", "-o", required=True)
     sm.set_defaults(cmd="cmd_sample")
 
-    rc = sub.add_parser("reconstruct", parents=[bases], help="recover a signal from samples")
-    rc.add_argument("--support", required=True)
+    rc = sub.add_parser("reconstruct", parents=[instance, written],
+                        help="recover a signal from samples")
     rc.add_argument("--plan", required=True)
     rc.add_argument("--samples", required=True)
     rc.add_argument("--reference", default=None, help="original signal for error check")
-    rc.add_argument("--out", "-o", required=True)
     rc.set_defaults(cmd="cmd_reconstruct")
 
-    vf = sub.add_parser("verify", parents=[bases],
+    vf = sub.add_parser("verify", parents=[instance],
                         help="check plan qualification, optionally by enumeration")
-    vf.add_argument("--support", required=True)
     vf.add_argument("--exhaustive", action="store_true")
     vf.add_argument("--trials", type=int, default=200, help="monotonicity trials")
     vf.add_argument("--out", "-o", default=None)
     # no --seed flag: the monotonicity trials always draw from $JTV_SEED
     vf.set_defaults(cmd="cmd_verify", seed=None)
 
-    bn = sub.add_parser("bench", parents=[bases, seeded],
+    bn = sub.add_parser("bench", parents=[bases, seeded, written],
                         help="time factored vs naive row selection")
-    instance = bn.add_mutually_exclusive_group()
-    instance.add_argument("--sizes", default="16,24,32", help="comma-separated n with T=N=n")
-    instance.add_argument("--support", help="bench one explicit instance, not a "
-                          "--sizes sweep; --seed and $JTV_SEED do not apply to it")
+    cases = bn.add_mutually_exclusive_group()
+    cases.add_argument("--sizes", default="16,24,32", help="comma-separated n with T=N=n")
+    cases.add_argument("--support", help="bench one explicit instance, not a "
+                       "--sizes sweep; --seed and $JTV_SEED do not apply to it")
     bn.add_argument("--repeats", type=int, default=3)
-    bn.add_argument("--out", "-o", required=True)
     bn.set_defaults(cmd="cmd_bench")
 
     return parser
@@ -348,7 +346,7 @@ def main(argv=None):
             sampling.RankDeficiencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_THEORY
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

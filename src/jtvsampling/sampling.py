@@ -136,7 +136,8 @@ def _coverage_first_rows(rows: np.ndarray, n_g: int) -> list:
 
     ``rows[i]`` is grid cell ``(i // n_g, i % n_g)``. Rows covering two new
     grid slots / vertices come first, then one, then none; within that, the
-    largest residual wins (lowest index on ties). Acceptance is
+    largest residual wins, the lowest index on exact ties (round-off orders rows
+    that tie in exact arithmetic, as on cycle, path and star bases). Acceptance is
     :func:`max_lin_indep_rows`'s rule; a rejected row lies in the span for good.
     With ``n_g = 1`` (one factor) all live rows tie on coverage at every pick.
     """

@@ -268,6 +268,53 @@ class TestSharedInputs:
         assert not out.exists()
 
 
+INSTANCE = ["--graph-t", "gt.json", "--graph-g", "gg.json", "--support", "support.json"]
+# one valid command line per leaf command, each with --out and --support where
+# it takes them
+LEAF_ARGV = {
+    "gen graph": ["gen", "graph", "--type", "cycle", "--n", "4", "-o", "gt.json"],
+    "gen support": ["gen", "support", "--t", "4", "--n", "4", "--kt", "2", "--kg", "2",
+                    "-o", "support.json"],
+    "gen signal": ["gen", "signal", *INSTANCE, "-o", "x.csv"],
+    "analyze": ["analyze", "--graph-t", "gt.json", "--graph-g", "gg.json",
+                "--signal", "x.csv", "-o", "found.json"],
+    "plan": ["plan", *INSTANCE, "-o", "plan.json"],
+    "sample": ["sample", "--signal", "x.csv", "--plan", "plan.json", "-o", "samples.csv"],
+    "reconstruct": ["reconstruct", *INSTANCE, "--plan", "plan.json",
+                    "--samples", "samples.csv", "-o", "r.csv"],
+    "verify": ["verify", *INSTANCE, "-o", "report.json"],
+    "bench": ["bench", "--support", "support.json", "--repeats", "1", "-o", "bench.csv"],
+}
+WRITERS = ("gen graph", "gen support", "gen signal", "plan", "sample", "reconstruct", "bench")
+
+
+class TestRequiredFlags:
+    @pytest.mark.parametrize("name, flag, required", [
+        *[pytest.param(name, "-o", True, id=f"{name} without -o") for name in WRITERS],
+        *[pytest.param(name, "--support", True, id=f"{name} without --support")
+          for name in ("gen signal", "plan", "reconstruct", "verify")],
+        pytest.param("analyze", "-o", False, id="analyze without -o"),
+        pytest.param("verify", "-o", False, id="verify without -o"),
+        pytest.param("bench", "--support", False, id="bench without --support"),
+    ])
+    def test_missing_flag(self, capsys, name, flag, required):
+        # every writer needs --out and every instance command --support, while
+        # analyze and verify may print only and bench may run its --sizes sweep
+        argv = LEAF_ARGV[name]
+        at = argv.index(flag)
+        dropped = argv[:at] + argv[at + 2:]
+        parser = cli.build_parser()
+        full = vars(parser.parse_args(argv))  # the whole line parses
+        if required:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(dropped)
+            assert exc.value.code == 2
+            assert "the following arguments are required" in capsys.readouterr().err
+        else:
+            dest = {"-o": "out", "--support": "support"}[flag]
+            assert vars(parser.parse_args(dropped)) == {**full, dest: None}
+
+
 class TestPlan:
     def test_with_basis_file(self, workspace):
         tmp, paths = workspace
@@ -519,6 +566,26 @@ class TestRoundTrip:
             t, tail = first.split(",", 1)
             files["samples.csv"].write_text(f"{spelling.format(t)},{tail}\n{rest}")
         assert self.reconstruct_after(workspace, edit, reference=True) == want
+
+    def test_reference_with_overflowing_norm_exit_3(self, workspace, capsys):
+        # the reference x.csv times 1e200 has a Frobenius norm past the float
+        # range; the tolerance used to be +inf then, so the check passed
+        def edit(files):
+            fileio.save_signal(fileio.load_signal(files["x.csv"]) * 1e200, files["x.csv"])
+        assert self.reconstruct_after(workspace, edit, reference=True) == (3, True)
+        captured = capsys.readouterr()
+        assert "above tolerance" in captured.err and "overflow" not in captured.err
+
+    def test_huge_signal_passes_its_own_reference(self, workspace, capsys):
+        # x.csv times 1e300 is sampled and reconstructed to within round-off of
+        # itself; its check must pass on the error, not on an infinite tolerance
+        def edit(files):
+            x = fileio.load_signal(files["x.csv"]) * 1e300
+            fileio.save_signal(x, files["x.csv"])
+            plan = fileio.load_plan(files["plan.json"])
+            fileio.save_samples(plan, sampling.sample(x, plan), files["samples.csv"])
+        assert self.reconstruct_after(workspace, edit, reference=True) == (0, True)
+        assert capsys.readouterr().err == ""
 
     def test_reference_of_wrong_shape_exit_2(self, workspace):
         def edit(files):
@@ -841,6 +908,30 @@ class TestVerify:
         assert ex["violations"] == []
         assert (ex["floor_t"], ex["floor_g"]) == (1, 1)
         assert ex["min_proj_t"] == 1
+
+    def test_non_critical_plan_exit_3(self, tmp_path, capsys):
+        # ROADMAP item 6's known greedy miss, pinned as it stands (see
+        # test_sampling's test_known_greedy_miss_on_path_grid): plan writes a
+        # qualified plan on 2 of K_T = 3 time slots and exits 0, and verify
+        # exits 3 on it although the oracle finds a critical set and no fault
+        gt, sup = tmp_path / "gt.json", tmp_path / "support.json"
+        assert run("gen", "graph", "--type", "path", "--n", 4, "-o", gt) == 0
+        assert run("gen", "support", "--t", 4, "--n", 4, "--pairs", "1,1;2,2;3,3",
+                   "-o", sup) == 0
+        inputs = ["--graph-t", gt, "--graph-g", gt, "--support", sup]
+        capsys.readouterr()
+        assert run("plan", *inputs, "-o", tmp_path / "plan.json") == 0
+        assert "|S|=3 |S_T|=2 |S_G|=3 critical=False" in capsys.readouterr().out
+        plan = json.loads((tmp_path / "plan.json").read_text())
+        assert plan["samples"] == [[0, 0], [0, 3], [1, 1]]
+        assert (plan["qualified"], plan["critical"]) == (True, False)
+        out = tmp_path / "report.json"
+        assert run("verify", *inputs, "--exhaustive", "--trials", 10, "-o", out) == 3
+        data = json.loads(out.read_text())
+        assert (data["qualified"], data["critical"]) == (True, False)
+        ex = data["exhaustive"]
+        assert (ex["exists_critical_set"], ex["violations"], ex["min_qualified_size"],
+                data["monotone"]) == (True, [], 3, True)
 
     @pytest.mark.parametrize("option", [("--trials", 0), ("--trials", -5)])
     def test_exhaustive_rejects_empty_checks(self, tmp_path, option):

@@ -15,6 +15,7 @@ from jtvsampling import (
     joint_columns_from_restricted,
     laplacian,
     max_lin_indep_rows,
+    path_graph,
     qualify,
     reconstruct,
     restrict_bases,
@@ -23,7 +24,7 @@ from jtvsampling import (
     synth_from_restricted,
     synth_signal,
 )
-from jtvsampling import bench, sampling
+from jtvsampling import bench, oracle, sampling
 from jtvsampling.generate import random_coeffs, random_connected_graph, random_support
 from jtvsampling.sampling import (
     IllConditionedError,
@@ -157,6 +158,21 @@ class TestCriticalSamplingSet:
         rows = np.array([[3.0, 0.0, 0.0], [2.5, 0.0, 0.1], [0.0, 0.0, 1.0], [0.0, 2.0, 0.0]])
         # once every slot and vertex is covered, row 2's residual beats row 1's norm
         assert _coverage_first_rows(rows, 2) == [0, 3, 2]
+
+    def test_known_greedy_miss_on_path_grid(self):
+        # ROADMAP item 6, pinned as it stands: on a 4-path x 4-path grid with
+        # pairs (1,1), (2,2), (3,3), step 3's greedy order reaches rank K on 2
+        # of K_T = 3 time slots, so the plan is qualified and of size K but not
+        # critical, although the oracle finds a critical set. A pick rule or
+        # coverage fix that changes this plan must edit this test.
+        bt = eig_sym(laplacian(path_graph(4)))
+        support = SpectralSupport(t_dim=4, g_dim=4, pairs=frozenset({(1, 1), (2, 2), (3, 3)}))
+        basis = JointBasis(*restrict_bases(bt, bt, support), support)
+        plan, report = critical_sampling_set(basis.ut_r, basis.ug_r, basis, support)
+        assert plan.sorted_samples == ((0, 0), (0, 3), (1, 1))
+        assert (report.rank, report.n_proj_t, report.n_proj_g) == (3, 2, 3)
+        assert report.qualified and not report.critical
+        assert oracle.exhaustive_check(basis.dense(), support).exists_critical_set
 
     def test_qualifies_once_per_plan(self, monkeypatch):
         calls = []
