@@ -28,19 +28,22 @@ BLOCK = 512
 _INDICES = tuple(range(MAX_JOINT_VERTICES))
 
 
-def elimination_rank(mat: np.ndarray):
+def elimination_rank(mat: np.ndarray, scale: float = None):
     """Matrix rank by row echelon reduction with partial pivoting.
 
     ``mat`` is one matrix ``(rows, cols)`` or a stack ``(..., rows, cols)``,
     as for ``np.linalg.matrix_rank``; a matrix gives an ``int``, a stack an
-    int array of its leading shape. Every matrix is reduced on its own: it
-    keeps its own scale ``max |a|``, pivot rows and running rank, and skips a
-    column whose best pivot is at most ``ELIM_TOL * scale``. The stack is copied
-    once with the stack axis innermost, so each column step is a few numpy
-    calls over every matrix at once. A pivot row is not swapped into place:
-    it eliminates itself to zeros, so an exact tie in pivot magnitude goes to
-    the lowest row index. Raises ``ValueError`` on a NaN or infinite entry;
-    ``mat`` is left unchanged.
+    int array of its leading shape. A column is skipped when its best pivot is
+    at most ``ELIM_TOL * scale``. ``scale`` defaults to each matrix's own
+    ``max |a|``, the rule of ``matrix_rank(tol=None)``; the oracle passes the
+    joint basis's ``max |uj|``, so that rows of round-off rank as zero in every
+    set they are drawn into. Every matrix is reduced on its own: it keeps its
+    own pivot rows and running rank. The stack is copied once with the stack
+    axis innermost, so each column step is a few numpy calls over every matrix
+    at once. A pivot row is not swapped into place: it eliminates itself to
+    zeros, so an exact tie in pivot magnitude goes to the lowest row index.
+    Raises ``ValueError`` on a NaN or infinite entry; ``mat`` is left
+    unchanged.
     """
     mat = np.asarray(mat)
     lead = mat.shape[:-2]
@@ -53,10 +56,10 @@ def elimination_rank(mat: np.ndarray):
     rank = np.zeros(count, dtype=np.intp)
     if a.size:
         # max |a| from two reductions, with no temporary the size of the stack
-        scale = np.maximum(a.max(axis=(0, 1)), -a.min(axis=(0, 1)))
-        if not np.isfinite(scale).all():
+        top = np.maximum(a.max(axis=(0, 1)), -a.min(axis=(0, 1)))
+        if not np.isfinite(top).all():
             raise ValueError("cannot rank a matrix with NaN or infinite entries")
-        cut = ELIM_TOL * scale
+        cut = ELIM_TOL * (top if scale is None else scale)
         flat = a.reshape(cols, rows * count)
         which = np.arange(count)
         for col in range(cols):
@@ -112,7 +115,8 @@ def _check_enumerable(nt: int):
 def exhaustive_check(uj: np.ndarray, support: SpectralSupport) -> ExhaustiveReport:
     """Enumerate every sample subset of size K and audit the bounds.
 
-    Counts the qualified K-sets, collects any that undercuts the necessary
+    Counts the qualified K-sets, those of rank K against ``max |uj|`` (see
+    ``elimination_rank``), collects any that undercuts the necessary
     bounds |S_T| >= ``support.floor_t`` or |S_G| >= ``support.floor_g``
     (expected none), and records whether one is critical. Size K decides every
     verdict. Elimination never ranks a matrix above its row count, so no
@@ -131,6 +135,7 @@ def exhaustive_check(uj: np.ndarray, support: SpectralSupport) -> ExhaustiveRepo
     k = support.k
     _check_enumerable(nt)
     uj = _check_joint(uj, support)
+    scale = np.abs(uj).max(initial=0.0)
 
     floor_t, floor_g = support.floor_t, support.floor_g
     count_at_k = 0
@@ -143,7 +148,7 @@ def exhaustive_check(uj: np.ndarray, support: SpectralSupport) -> ExhaustiveRepo
         if not flat.size:
             break
         block = flat.reshape(-1, k)
-        subsets = block[elimination_rank(uj[block]) == k]
+        subsets = block[elimination_rank(uj[block], scale=scale) == k]
         if not len(subsets):
             continue
         n_t = _distinct_per_row(subsets // support.g_dim, support.t_dim)
@@ -173,22 +178,18 @@ def check_monotonicity(uj: np.ndarray, trials: int, rng) -> bool:
     the ``nt`` rows; each set is a prefix of that order, so S1 is in S2. A set
     is ranked as ``uj`` with the rows outside it zeroed, which keeps its rows
     in order: zero rows never pass the pivot test nor beat a real row as
-    pivot. Each matrix also gets a last row and column holding ``max |uj|``
-    alone, which adds exactly 1 to its rank and makes ``uj``'s scale its own,
-    so every set is ranked against ``uj``'s scale. Against its own scale a set
-    of round-off rows can reach full rank and lose it when a real row joins.
+    pivot. Sets are ranked against ``max |uj|``, as in ``exhaustive_check``.
     The pairs of ``BLOCK // 8`` trials are ranked in one stacked call.
     """
     uj = np.asarray(uj, dtype=float)
-    nt, k = uj.shape
+    nt, _ = uj.shape
     _check_enumerable(nt)
     if trials < 1:
         raise ValueError(f"monotonicity needs at least 1 trial, got {trials}")
     # a trial ranks two nt-row matrices, about 8 times the rows of one
     # enumerated subset at the size limit, so a call takes fewer trials
     per_call = BLOCK // 8
-    stack = np.zeros((2, per_call, nt + 1, k + 1))
-    stack[..., nt, k] = np.abs(uj).max(initial=0.0)
+    scale = np.abs(uj).max(initial=0.0)
     for first in range(0, trials, per_call):
         count = min(per_call, trials - first)
         big = rng.integers(0, nt + 1, size=count)
@@ -196,8 +197,7 @@ def check_monotonicity(uj: np.ndarray, trials: int, rng) -> bool:
         # place[j, r] is row r's place in trial j's random order
         place = rng.permuted(np.broadcast_to(np.arange(nt), (count, nt)), axis=1)
         member = place < np.stack([small, big])[:, :, None]
-        stack[:, :count, :nt, :k] = uj * member[..., None]
-        small_rank, big_rank = elimination_rank(stack[:, :count])
+        small_rank, big_rank = elimination_rank(uj * member[..., None], scale=scale)
         if np.any(small_rank > big_rank):
             return False
     return True

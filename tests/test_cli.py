@@ -909,6 +909,21 @@ class TestVerify:
         assert (ex["floor_t"], ex["floor_g"]) == (1, 1)
         assert ex["min_proj_t"] == 1
 
+    def test_exhaustive_skips_round_off_basis_entries(self, tmp_path):
+        # pair (1, 0) on 5-path x 4-path: the 5-path's second eigenvector is
+        # exactly zero at its middle vertex, computed as round-off, so 16 of
+        # the 20 joint basis entries qualify alone. Ranked against its own
+        # scale, each round-off entry qualified too.
+        gt, gg = tmp_path / "gt.json", tmp_path / "gg.json"
+        sup, out = tmp_path / "support.json", tmp_path / "report.json"
+        assert run("gen", "graph", "--type", "path", "--n", 5, "-o", gt) == 0
+        assert run("gen", "graph", "--type", "path", "--n", 4, "-o", gg) == 0
+        assert run("gen", "support", "--t", 5, "--n", 4, "--pairs", "1,0", "-o", sup) == 0
+        assert run("verify", "--graph-t", gt, "--graph-g", gg, "--support", sup,
+                   "--exhaustive", "--trials", 10, "-o", out) == 0
+        ex = json.loads(out.read_text())["exhaustive"]
+        assert (ex["count_qualified_at_k"], ex["min_qualified_size"]) == (16, 1)
+
     def test_non_critical_plan_exit_3(self, tmp_path, capsys):
         # ROADMAP item 6's known greedy miss, pinned as it stands (see
         # test_sampling's test_known_greedy_miss_on_path_grid): plan writes a

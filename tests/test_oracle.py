@@ -19,6 +19,7 @@ from jtvsampling import (
     laplacian,
     path_graph,
     restrict_bases,
+    star_graph,
 )
 from jtvsampling.generate import random_connected_graph, random_support
 from jtvsampling import oracle
@@ -376,22 +377,60 @@ class TestExhaustiveCheck:
             yield support, joint_columns_from_restricted(ut_r, ug_r, support)
 
     def test_svd_cross_check_at_the_size_limit(self):
-        # The oracle must count exactly the 5-sets an SVD finds nonsingular.
-        # Measured over the 194 instances of seeds 301 and 304: accepted sets
-        # have sigma_min / sigma_max >= 2.4e-8, rejected ones <= 5e-16, so the
-        # 1e-12 cut sits far from both. Instance 68 of seed 304 holds 5-sets
-        # at 3e-16 that an elimination reusing pivots across the subset tree
-        # accepted; partial pivoting on each subset must reject them.
+        # The oracle must count exactly the 5-sets an SVD finds nonsingular
+        # against uj's scale. Measured over the 194 instances of seeds 301 and
+        # 304: accepted sets have sigma_min / max|uj| >= 3.2e-8, rejected ones
+        # <= 7.6e-16, so the 1e-12 cut sits far from both. Instance 68 of
+        # seed 304 holds 5-sets at 3e-16 that an elimination reusing pivots
+        # across the subset tree accepted; partial pivoting on each subset
+        # must reject them.
         subsets = np.array(list(combinations(range(20), 5)))
         instances = list(self.oracle_tiny_instances(304, 69))
         for j in (0, 1, 2, 3, 68):
             support, uj = instances[j]
             s = np.linalg.svd(uj[subsets], compute_uv=False)
-            ratio = s[:, -1] / s[:, 0]
+            ratio = s[:, -1] / np.abs(uj).max()
             report = exhaustive_check(uj, support)
             assert report.count_qualified_at_k == np.sum(ratio > 1e-12)
             if j == 68:
                 assert np.sum((ratio > 0) & (ratio < 1e-15)) > 0
+
+    def test_round_off_rows_do_not_qualify(self):
+        # rows 0 and 1 are round-off: against their own scale they have rank
+        # 2, a qualified and critical 2-set; against uj's scale they are zero,
+        # and every 2-set holds at most one real row
+        uj = np.array([[1e-17, 0.0], [0.0, 1e-17], [1.0, 0.0]])
+        support = SpectralSupport(t_dim=3, g_dim=1, pairs=frozenset({(0, 0), (1, 0)}))
+        report = exhaustive_check(uj, support)
+        assert (report.count_qualified_at_k, report.min_qualified_size,
+                report.exists_critical_set) == (0, None, False)
+
+    @staticmethod
+    def structured_instances(seed, count):
+        """T, N in 3..4, each factor a cycle, path or star, random supports
+        with K <= 6: bases whose exact zeros are computed as round-off."""
+        rng = np.random.default_rng(seed)
+        makers = (cycle_graph, path_graph, star_graph)
+        while count:
+            t, n = (int(v) for v in rng.integers(3, 5, size=2))
+            make_t, make_g = (makers[i] for i in rng.integers(0, 3, size=2))
+            support = random_support(t, n, rng)
+            if support.k > 6:
+                continue
+            count -= 1
+            bt, bg = eig_sym(laplacian(make_t(t))), eig_sym(laplacian(make_g(n)))
+            yield support, joint_basis_columns(bt, bg, support)
+
+    def test_counts_sets_nonsingular_against_the_basis_scale(self):
+        # the count is the K-sets whose sigma_min exceeds 1e-12 max|uj|.
+        # Measured on these 60 instances: accepted sets have sigma_min /
+        # max|uj| >= 2.3e-2, rejected ones <= 7.2e-16. Ranked against each
+        # set's own scale, 11 of them counted sets of round-off rows too.
+        for support, uj in self.structured_instances(2024, 60):
+            subsets = np.array(list(combinations(range(len(uj)), support.k)))
+            sigma_min = np.linalg.svd(uj[subsets], compute_uv=False)[:, -1]
+            report = exhaustive_check(uj, support)
+            assert report.count_qualified_at_k == np.sum(sigma_min > 1e-12 * np.abs(uj).max())
 
 
 class TestIndependence:
@@ -466,7 +505,7 @@ class TestMonotonicity:
     def test_compares_each_trial_pair(self, monkeypatch):
         # true ranks never drop, so a drop is planted in the rank function:
         # one trial whose small set outranks its big set must fail the check
-        def planted(stack):
+        def planted(stack, scale):
             ranks = np.zeros(stack.shape[:-2], dtype=int)
             ranks[0, -1] = 1
             return ranks
@@ -507,21 +546,45 @@ class TestMonotonicity:
 
     def test_small_sets_nest_in_big_sets(self, monkeypatch):
         # every row ranked for a trial's small set must be ranked for its big
-        # set too; uj's rows are distinct and nonzero, so their first 3
-        # entries identify them
+        # set too; uj's rows are distinct and nonzero, so they identify
+        # themselves
         uj = np.random.default_rng(8).normal(size=(12, 3))
         row_of = {row.tobytes(): i for i, row in enumerate(uj)}
         rank = oracle.elimination_rank
         pairs = []
 
-        def checked(stack):
-            small, big = [[{row_of[r[:3].tobytes()] for r in m if r[:3].any()} for m in side]
+        def checked(stack, scale):
+            small, big = [[{row_of[r.tobytes()] for r in m if r.any()} for m in side]
                           for side in stack]
             pairs.extend(zip(small, big))
-            return rank(stack)
+            return rank(stack, scale=scale)
 
         monkeypatch.setattr(oracle, "elimination_rank", checked)
         assert check_monotonicity(uj, 300, rng=np.random.default_rng(9))
         assert len(pairs) == 300
         assert all(s <= b for s, b in pairs)
         assert any(0 < len(s) < len(b) for s, b in pairs)
+
+    def test_both_checks_rank_against_max_abs_uj(self, monkeypatch):
+        # exhaustive_check ranks (..., K, K) subsets and check_monotonicity
+        # ranks (2, trials, nt, K) stacks, both against max|uj| computed once
+        rng = np.random.default_rng(10)
+        bt = eig_sym(laplacian(cycle_graph(3)))
+        bg = eig_sym(laplacian(random_connected_graph(4, rng)))
+        support = random_support(3, 4, rng, k_t=2, k_g=2, k=3)
+        uj = 3.0 * joint_basis_columns(bt, bg, support)
+        rank = oracle.elimination_rank
+        calls = []
+
+        def recording(stack, scale):
+            calls.append((np.shape(stack), scale))
+            return rank(stack, scale=scale)
+
+        monkeypatch.setattr(oracle, "elimination_rank", recording)
+        assert exhaustive_check(uj, support).count_qualified_at_k > 0
+        enumerated = len(calls)
+        assert check_monotonicity(uj, 100, rng=np.random.default_rng(11))
+        assert 0 < enumerated < len(calls)
+        assert all(scale == np.abs(uj).max() for _, scale in calls)
+        assert all(shape[1:] == (3, 3) for shape, _ in calls[:enumerated])
+        assert all(shape[0] == 2 and shape[2:] == (12, 3) for shape, _ in calls[enumerated:])
