@@ -14,10 +14,9 @@ from math import prod
 import numpy as np
 
 from .bandlimit import SpectralSupport
-from .spectral import _check_joint
+from .spectral import RANK_TOL, _check_joint
 
 MAX_JOINT_VERTICES = 20
-ELIM_TOL = 1e-10
 # Subsets ranked per stacked elimination call: large enough to amortize the
 # per-call numpy overhead, small enough to keep the stack and its temporaries
 # well under a megabyte.
@@ -34,7 +33,7 @@ def elimination_rank(mat: np.ndarray, scale: float = None):
     ``mat`` is one matrix ``(rows, cols)`` or a stack ``(..., rows, cols)``,
     as for ``np.linalg.matrix_rank``; a matrix gives an ``int``, a stack an
     int array of its leading shape. A column is skipped when its best pivot is
-    at most ``ELIM_TOL * scale``. ``scale`` defaults to each matrix's own
+    at most ``RANK_TOL * scale``. ``scale`` defaults to each matrix's own
     ``max |a|``, the rule of ``matrix_rank(tol=None)``; the oracle passes the
     joint basis's ``max |uj|``, so that rows of round-off rank as zero in every
     set they are drawn into. Every matrix is reduced on its own: it keeps its
@@ -59,7 +58,7 @@ def elimination_rank(mat: np.ndarray, scale: float = None):
         top = np.maximum(a.max(axis=(0, 1)), -a.min(axis=(0, 1)))
         if not np.isfinite(top).all():
             raise ValueError("cannot rank a matrix with NaN or infinite entries")
-        cut = ELIM_TOL * (top if scale is None else scale)
+        cut = RANK_TOL * (top if scale is None else scale)
         flat = a.reshape(cols, rows * count)
         which = np.arange(count)
         for col in range(cols):

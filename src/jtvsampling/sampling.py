@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandlimit import SpectralSupport, _check_index_pairs
-from .spectral import JointBasis, _joint
+from .spectral import RANK_TOL, JointBasis, _joint
 
 ROW_SELECT_EPS = 1e-9
 COND_LIMIT = 1e12
@@ -211,18 +211,26 @@ def critical_sampling_set(ut_r: np.ndarray, ug_r: np.ndarray, uj,
 
 
 def _sampled_block(plan: SamplingPlan, uj, support: SpectralSupport):
-    """Rows of ``uj`` at the plan's samples; ValueError if plan and support dims
-    differ or ``uj`` is not a joint basis of ``support``."""
+    """Rows of ``uj`` at the plan's samples and ``uj``'s max |entry|; ValueError
+    if plan and support dims differ or ``uj`` is not a joint basis of ``support``."""
     if plan.t_dim != support.t_dim or plan.g_dim != support.g_dim:
         raise ValueError("plan and support dimensions disagree")
-    return _joint(uj, support).rows(plan.linear_indices())
+    basis = _joint(uj, support)
+    return basis.rows(plan.linear_indices()), basis.scale
+
+
+def _rank(s: np.ndarray, scale: float) -> int:
+    """Singular values ``s`` of a sampled block above ``RANK_TOL`` times the joint
+    basis's max |entry|: the oracle's rule, so rows of round-off count as zero."""
+    return int(np.count_nonzero(s > RANK_TOL * scale))
 
 
 def qualify(plan: SamplingPlan, uj, support: SpectralSupport) -> QualificationReport:
-    """Rank of the joint basis restricted to the plan's samples, with the
-    qualified / critical verdicts."""
-    sub = _sampled_block(plan, uj, support)
-    rank = int(np.linalg.matrix_rank(sub))
+    """Rank of the joint basis restricted to the plan's samples, against the
+    joint basis's max |entry| (:func:`_rank`), with the qualified / critical
+    verdicts."""
+    sub, scale = _sampled_block(plan, uj, support)
+    rank = _rank(np.linalg.svd(sub, compute_uv=False), scale)
     return QualificationReport(
         rank=rank,
         n_samples=plan.size,
@@ -260,12 +268,13 @@ def reconstruct_coefficients(values: np.ndarray, plan: SamplingPlan,
                              uj, support: SpectralSupport) -> np.ndarray:
     """Spectral coefficients recovered from sampled values.
 
-    One LAPACK least-squares call (xGELSD) gives the sampled block's rank, by
-    the ``matrix_rank`` rule :func:`qualify` uses, its singular values and the
-    solution, exact for critical-sized plans; huge samples whose solution is
+    One LAPACK least-squares call (xGELSD) gives the sampled block's singular
+    values, which are ranked by :func:`qualify`'s rule, and the solution,
+    exact for critical-sized plans; huge samples whose solution is
     representable reconstruct. Refuses plans whose dims are not the support's,
-    non-finite sample values, unqualified plans, near-singular systems and
-    samples whose coefficients overflow the solve.
+    non-finite sample values, unqualified plans (rows of round-off at the joint
+    basis's scale included), near-singular systems and samples whose
+    coefficients overflow the solve.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (plan.size,):
@@ -275,8 +284,9 @@ def reconstruct_coefficients(values: np.ndarray, plan: SamplingPlan,
         )
     if not np.all(np.isfinite(values)):
         raise ValueError("sample values must be finite")
-    coeffs, _, rank, s = np.linalg.lstsq(_sampled_block(plan, uj, support), values,
-                                         rcond=None)
+    block, scale = _sampled_block(plan, uj, support)
+    coeffs, _, _, s = np.linalg.lstsq(block, values, rcond=None)
+    rank = _rank(s, scale)
     if rank < support.k:
         raise UnqualifiedPlanError(
             f"plan is not qualified: rank {rank} < bandwidth {support.k}"

@@ -9,6 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Singular values (or pivots) at most RANK_TOL times the joint basis's max
+# |entry| count as zero: one rank rule for the fast path and the oracle.
+RANK_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class EigenBasis:
@@ -82,8 +86,10 @@ class JointBasis:
     Row ``t * N + v`` is ``ut_r[t, ti] * ug_r[v, gi]``, where column k belongs
     to the support's k-th pair (j_t, j_g) in canonical order and ``ti[k]`` /
     ``gi[k]`` are the positions of j_t / j_g among the support's time / graph
-    frequencies. The N*T x K matrix is formed only by :meth:`dense`. Raises
-    ``ValueError`` unless ``ut_r`` is (T, K_T) and ``ug_r`` is (N, K_G).
+    frequencies. The N*T x K matrix is formed only by :meth:`dense`; its max
+    |entry|, :attr:`scale`, is what a sampled block's rank is measured
+    against. Raises ``ValueError`` unless ``ut_r`` is (T, K_T) and ``ug_r``
+    is (N, K_G).
     """
 
     def __init__(self, ut_r: np.ndarray, ug_r: np.ndarray, support):
@@ -108,6 +114,13 @@ class JointBasis:
         return (self.ut_r[:, None, self._ti] * self.ug_r[None, :, self._gi]).reshape(
             -1, self.support.k)
 
+    @property
+    def scale(self) -> float:
+        """``np.abs(self.dense()).max()`` from the factors' column maxima, bit
+        for bit: |a * b| rounds as |a| * |b|, and rounding is monotone."""
+        top_t, top_g = np.abs(self.ut_r).max(axis=0), np.abs(self.ug_r).max(axis=0)
+        return float((top_t[self._ti] * top_g[self._gi]).max())
+
     def rows(self, idx) -> np.ndarray:
         """Rows at linear indices ``t * N + v``, in the order given; the same
         single product per entry as the dense columns, so bit-identical."""
@@ -124,11 +137,16 @@ class JointBasis:
 
 
 class _DenseJoint:
-    """:class:`JointBasis`'s ``rows`` / ``synth`` over a dense (T*N, K) ``uj``;
-    kept only while callers still pass the dense matrix."""
+    """:class:`JointBasis`'s ``scale`` / ``rows`` / ``synth`` over a dense
+    (T*N, K) ``uj``; kept only while callers still pass the dense matrix."""
 
     def __init__(self, uj: np.ndarray, support):
         self.uj, self.support = uj, support
+
+    @property
+    def scale(self) -> float:
+        # max |uj| from two scans, with no temporary the size of uj
+        return float(max(self.uj.max(), -self.uj.min()))
 
     def rows(self, idx) -> np.ndarray:
         return self.uj[idx]

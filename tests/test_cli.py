@@ -924,6 +924,33 @@ class TestVerify:
         ex = json.loads(out.read_text())["exhaustive"]
         assert (ex["count_qualified_at_k"], ex["min_qualified_size"]) == (16, 1)
 
+    def test_reconstruct_refuses_round_off_plan(self, tmp_path, capsys):
+        # the same instance: the plan {(2, 0)} reads one round-off entry of
+        # the basis (1.8e-16). Ranked against its own scale it qualified, and
+        # a 0.01 sample reconstructed to entries near 1.7e13 with exit 0
+        gt, gg = tmp_path / "gt.json", tmp_path / "gg.json"
+        sup, plan, samples = (tmp_path / name for name in ("support.json", "plan.json",
+                                                           "samples.csv"))
+        assert run("gen", "graph", "--type", "path", "--n", 5, "-o", gt) == 0
+        assert run("gen", "graph", "--type", "path", "--n", 4, "-o", gg) == 0
+        assert run("gen", "support", "--t", 5, "--n", 4, "--pairs", "1,0", "-o", sup) == 0
+        inputs = ["--graph-t", gt, "--graph-g", gg, "--support", sup]
+        plan.write_text(json.dumps({"T": 5, "N": 4, "samples": [[2, 0]]}))
+        samples.write_text("2,0,0.01\n")
+        out = tmp_path / "recon.csv"
+        capsys.readouterr()
+        assert run("reconstruct", *inputs, "--plan", plan, "--samples", samples,
+                   "-o", out) == 3
+        assert "plan is not qualified: rank 0 < bandwidth 1" in capsys.readouterr().err
+        assert not out.exists()
+        # the plan jtv writes for this instance still reconstructs
+        assert run("plan", *inputs, "-o", plan) == 0
+        assert json.loads(plan.read_text())["samples"] == [[4, 1]]
+        samples.write_text("4,1,0.01\n")
+        assert run("reconstruct", *inputs, "--plan", plan, "--samples", samples,
+                   "-o", out) == 0
+        assert np.max(np.abs(fileio.load_signal(out))) <= 0.01
+
     def test_non_critical_plan_exit_3(self, tmp_path, capsys):
         # ROADMAP item 6's known greedy miss, pinned as it stands (see
         # test_sampling's test_known_greedy_miss_on_path_grid): plan writes a

@@ -1,4 +1,5 @@
 import ast
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from jtvsampling import (
     restrict_bases,
     sample,
     separate_sampling,
+    star_graph,
     synth_from_restricted,
     synth_signal,
 )
@@ -261,6 +263,69 @@ class TestQualify:
         rep = qualify(small, uj, ref.support)
         assert not rep.qualified
         assert rep.rank <= 2
+
+
+def round_off_instance():
+    """5-path x 4-path with pair (1, 0), and the plan {(2, 0)}. The 5-path's
+    second eigenvector is exactly zero at its middle vertex, so the plan's one
+    basis entry is round-off (about 1.8e-16). Path Laplacians have distinct
+    eigenvalues, so the entry is round-off on every LAPACK build."""
+    bt, bg = eig_sym(laplacian(path_graph(5))), eig_sym(laplacian(path_graph(4)))
+    support = SpectralSupport(5, 4, frozenset({(1, 0)}))
+    basis = JointBasis(*restrict_bases(bt, bg, support), support)
+    return basis, SamplingPlan(5, 4, frozenset({(2, 0)}))
+
+
+def small_structured_instances(seed, count):
+    """Joint bases with T, N in 3..4, each factor a cycle, path or star, and
+    random supports with K <= 3: exact zeros of the bases are round-off."""
+    rng = np.random.default_rng(seed)
+    makers = (cycle_graph, path_graph, star_graph)
+    while count:
+        t, n = (int(v) for v in rng.integers(3, 5, size=2))
+        make_t, make_g = (makers[i] for i in rng.integers(0, 3, size=2))
+        support = random_support(t, n, rng)
+        if support.k > 3:
+            continue
+        count -= 1
+        bt, bg = eig_sym(laplacian(make_t(t))), eig_sym(laplacian(make_g(n)))
+        yield JointBasis(*restrict_bases(bt, bg, support), support)
+
+
+class TestRankAgainstBasisScale:
+    """``qualify`` and the solve rank a sampled block against the joint
+    basis's max |entry|, as the oracle does, not against the block's own."""
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["JointBasis", "dense"])
+    def test_round_off_row_is_unqualified(self, dense):
+        # ranked against its own scale, the 1.8e-16 entry read rank 1: a
+        # qualified, critical plan, and a 0.01 sample gave entries near 1.7e13
+        basis, plan = round_off_instance()
+        uj = basis.dense() if dense else basis
+        assert abs(basis.rows(plan.linear_indices())[0, 0]) < 1e-15
+        rep = qualify(plan, uj, basis.support)
+        assert (rep.rank, rep.qualified, rep.critical) == (0, False, False)
+        with pytest.raises(UnqualifiedPlanError, match="rank 0 < bandwidth 1"):
+            reconstruct(np.array([0.01]), plan, uj, basis.support)
+
+    def test_agrees_with_oracle_on_every_k_subset(self):
+        # qualify's verdict is the oracle's rank-K test against max|uj|, and
+        # the solve refuses exactly the unqualified sets; ranked against each
+        # block's own scale, 44 of these 5,585 sets disagreed with the oracle
+        for basis in small_structured_instances(2024, 40):
+            support, uj = basis.support, basis.dense()
+            subsets = np.array(list(combinations(range(len(uj)), support.k)))
+            ranks = oracle.elimination_rank(uj[subsets], scale=np.abs(uj).max())
+            for subset, rank in zip(subsets.tolist(), ranks):
+                plan = SamplingPlan(support.t_dim, support.g_dim,
+                                    frozenset(divmod(i, support.g_dim) for i in subset))
+                qualified = bool(rank == support.k)
+                assert qualify(plan, basis, support).qualified == qualified
+                if qualified:
+                    reconstruct_coefficients(np.ones(support.k), plan, uj, support)
+                else:
+                    with pytest.raises(UnqualifiedPlanError):
+                        reconstruct_coefficients(np.ones(support.k), plan, uj, support)
 
 
 SAMPLED_BLOCK_USES = pytest.mark.parametrize("use", [

@@ -13,6 +13,7 @@ from jtvsampling import (
     laplacian,
     restrict_bases,
 )
+from jtvsampling import bench, spectral
 from jtvsampling.generate import random_connected_graph
 
 
@@ -278,6 +279,28 @@ class TestJointBasis:
             x_syn = JointBasis(ut_r, ug_r, support).synth(coeffs)
             assert x_syn.shape == (support.g_dim, support.t_dim)
             assert np.linalg.norm(x_syn - x) <= 1e-12 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_scale_is_max_abs_entry_bit_for_bit(self, n, seed):
+        basis = bench.prepare_case(n, seed=seed)
+        uj = basis.dense()
+        assert basis.scale == np.abs(uj).max() == spectral._joint(uj, basis.support).scale
+
+    def test_scale_of_random_factors_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        for support, ut_r, ug_r in random_support_instances(rng, 40):
+            basis = JointBasis(ut_r, ug_r, support)
+            assert basis.scale == np.abs(basis.dense()).max()
+
+    def test_scale_multiplies_only_combined_columns(self):
+        # both factors hold their largest entry (3) in column 0, and no pair
+        # combines the two: max|ut_r| * max|ug_r| = 9 would overstate the scale
+        support = SpectralSupport(2, 2, frozenset({(0, 1), (1, 0)}))
+        ut_r = np.array([[3.0, 1.0], [-0.5, -2.0]])
+        ug_r = np.array([[-3.0, 0.5], [1.0, 1.5]])
+        basis = JointBasis(ut_r, ug_r, support)
+        assert basis.scale == np.abs(basis.dense()).max() == 6.0
 
     @pytest.mark.parametrize("cut", ["time rows", "graph rows", "time columns",
                                      "graph columns"])
