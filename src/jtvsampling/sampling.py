@@ -4,7 +4,8 @@ The core routine factors the row search: independent rows of the small time and
 graph bases first, then K of the K_T*K_G candidate product rows of the joint
 basis, instead of eliminating over all N*T rows. Both steps use one greedy
 max-volume pass; over the product grid it prefers rows on time slots and
-vertices it has not yet covered, so one pass yields a critical plan.
+vertices it has not yet covered, so one pass yields a critical plan. A row counts
+as independent by qualify's rule: a residual above ``RANK_TOL`` x its basis's max |entry|.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,6 @@ import numpy as np
 from .bandlimit import SpectralSupport, _check_index_pairs
 from .spectral import RANK_TOL, JointBasis, _joint
 
-ROW_SELECT_EPS = 1e-9
 COND_LIMIT = 1e12
 
 
@@ -108,44 +108,43 @@ def max_lin_indep_rows(mat: np.ndarray) -> list:
     """Naive reference scan: a maximal independent row set, lowest index first.
 
     A row is accepted iff its residual after projection onto the span of the
-    rows already accepted exceeds ``ROW_SELECT_EPS`` times its own norm; zero
-    rows are always rejected. The scan covers every row, so the result is
-    maximal and deterministic.
+    rows already accepted exceeds ``RANK_TOL`` times ``mat``'s max |entry|, the
+    planner's and :func:`qualify`'s cut; zero rows are always rejected. The scan
+    covers every row, so the result is maximal and deterministic.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[1] < 1:
         raise ValueError(f"expected a matrix with at least one column, got {mat.shape}")
+    cut = RANK_TOL * np.max(np.abs(mat), initial=0.0)
     norms = np.linalg.norm(mat, axis=1)
-    scale = float(np.max(norms)) if len(mat) else 0.0
     basis = np.empty((mat.shape[1], mat.shape[1]))
     selected = []
     for i, row in enumerate(mat):
-        # rows negligible at matrix scale count as zero rows
-        if norms[i] <= ROW_SELECT_EPS * scale:
+        if norms[i] <= cut:  # its residual can only be smaller: no projection needed
             continue
         resid = _residual(row, basis[:len(selected)])
         rnorm = np.linalg.norm(resid)
-        if rnorm > ROW_SELECT_EPS * norms[i]:
+        if rnorm > cut:
             basis[len(selected)] = resid / rnorm
             selected.append(i)
     return selected
 
 
-def _coverage_first_rows(rows: np.ndarray, n_g: int) -> list:
+def _coverage_first_rows(rows: np.ndarray, n_g: int, scale: float) -> list:
     """Greedy max-volume pick of independent grid rows, coverage first (steps 1, 3).
 
     ``rows[i]`` is grid cell ``(i // n_g, i % n_g)``. Rows covering two new
     grid slots / vertices come first, then one, then none; within that, the
     largest residual wins, the lowest index on exact ties (round-off orders rows
-    that tie in exact arithmetic, as on cycle, path and star bases). Acceptance is
-    :func:`max_lin_indep_rows`'s rule; a rejected row lies in the span for good.
+    that tie in exact arithmetic, as on cycle, path and star bases). A row is accepted
+    iff its residual exceeds ``RANK_TOL * scale``, ``scale`` being the max |entry| of the
+    rows' basis; residuals only shrink, so a rejected row lies in the span for good.
     With ``n_g = 1`` (one factor) all live rows tie on coverage at every pick.
     """
     n_rows, n_cols = rows.shape
+    cut = RANK_TOL * scale
     resid2 = np.einsum("ij,ij->i", rows, rows)
-    norms = np.sqrt(resid2)
-    # rows negligible at matrix scale count as zero rows
-    live = norms > ROW_SELECT_EPS * np.max(norms, initial=0.0)
+    live = np.sqrt(resid2) > cut  # a row at or below the cut is never accepted
     new_t, new_g = np.ones(n_rows // n_g, dtype=int), np.ones(n_g, dtype=int)
     basis = np.empty((n_cols, n_cols))
     picked = []
@@ -156,7 +155,7 @@ def _coverage_first_rows(rows: np.ndarray, n_g: int) -> list:
         live[i] = False
         resid = _residual(rows[i], basis[:len(picked)])
         rnorm = np.linalg.norm(resid)
-        if rnorm <= ROW_SELECT_EPS * norms[i]:
+        if rnorm <= cut:
             continue
         q = basis[len(picked)] = resid / rnorm
         picked.append(i)
@@ -174,7 +173,7 @@ def _factor_rows(ut_r: np.ndarray, ug_r: np.ndarray):
         mat = np.asarray(mat, dtype=float)
         if mat.ndim != 2 or mat.shape[1] < 1:
             raise ValueError(f"expected a matrix with at least one column, got {mat.shape}")
-        sel = sorted(_coverage_first_rows(mat, 1))
+        sel = sorted(_coverage_first_rows(mat, 1, np.max(np.abs(mat), initial=0.0)))
         if len(sel) != mat.shape[1]:
             raise RankDeficiencyError(
                 f"step 1: {name} basis has rank {len(sel)} < {mat.shape[1]}")
@@ -202,7 +201,7 @@ def critical_sampling_set(ut_r: np.ndarray, ug_r: np.ndarray, uj,
     sel_t, sel_g = _factor_rows(basis.ut_r, basis.ug_r)
     product = [(t, v) for t in sel_t for v in sel_g]
     rows = basis.rows([t * support.g_dim + v for t, v in product])
-    picked = _coverage_first_rows(rows, len(sel_g))
+    picked = _coverage_first_rows(rows, len(sel_g), basis.scale)
     if len(picked) != support.k:
         raise RankDeficiencyError(f"step 3: product rows have rank {len(picked)} < {support.k}")
     samples = frozenset(product[i] for i in picked)

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Singular values (or pivots) at most RANK_TOL times the joint basis's max
-# |entry| count as zero: one rank rule for the fast path and the oracle.
+# Singular values, pivots and planner residuals at most RANK_TOL times their
+# basis's max |entry| count as zero: one rule for planner, solve and oracle.
 RANK_TOL = 1e-10
 
 

@@ -361,11 +361,13 @@ class TestPlan:
         _, paths = workspace
         assert run("plan", "--support", paths["support"], "-o", tmp_path / "p.json") == 2
 
-    @pytest.mark.parametrize("eps, code", [(1e-5, 3), (1e-3, 0)])
+    @pytest.mark.parametrize("eps, code", [(1e-6, 3), (1e-3, 0)])
     def test_product_rank_refusal(self, tmp_path, capsys, eps, code):
         # both factors [[1, 0], [1, eps]] on the full 2 x 2 support: step 1
-        # keeps both rows of each; at eps = 1e-5 step 3 falls short of K = 4
-        # and nothing is written, at eps = 1e-3 the 4-sample plan is built
+        # keeps both rows of each; at eps = 1e-6 the 4th product residual is
+        # 1e-12, under the cut RANK_TOL * max|entry| = 1e-10, so step 3 falls
+        # short of K = 4 and nothing is written; at eps = 1e-3 the 4-sample
+        # plan is built
         support, basis, out = tmp_path / "s.json", tmp_path / "b.json", tmp_path / "p.json"
         assert run("gen", "support", "--t", 2, "--n", 2, "--pairs", "0,0;0,1;1,0;1,1",
                    "-o", support) == 0
@@ -379,6 +381,26 @@ class TestPlan:
             assert not out.exists()
         else:
             assert len(json.loads(out.read_text())["samples"]) == 4
+
+    @pytest.mark.parametrize("time_row, code", [((0.0, 5e-10), 0), ((1e-8, 5e-17), 3)])
+    def test_step_1_ranks_at_the_joint_basis_cut(self, tmp_path, capsys, time_row, code):
+        # 2 slots x 1 vertex, time basis [[1, 0], time_row]: step 1 ranks it at
+        # RANK_TOL times its max |entry|, the cut reconstruct ranks at. A 5e-10
+        # row gives the full plan, qualified and critical; a 5e-17 residual is
+        # refused before a plan that reconstruct would refuse is written
+        support, basis, out = tmp_path / "s.json", tmp_path / "b.json", tmp_path / "p.json"
+        assert run("gen", "support", "--t", 2, "--n", 1, "--pairs", "0,0;1,0",
+                   "-o", support) == 0
+        fileio.save_basis_pair(np.array([[1.0, 0.0], time_row]), np.array([[1.0]]), basis)
+        capsys.readouterr()
+        assert run("plan", "--support", support, "--basis-file", basis, "-o", out) == code
+        if code:
+            assert capsys.readouterr().err == "error: step 1: time basis has rank 1 < 2\n"
+            assert not out.exists()
+        else:
+            data = json.loads(out.read_text())
+            assert data["samples"] == [[0, 0], [1, 0]]
+            assert (data["rank"], data["qualified"], data["critical"]) == (2, True, True)
 
 
 class TestRoundTrip:
@@ -496,17 +518,30 @@ class TestRoundTrip:
     def test_huge_representable_samples_reconstruct(self, workspace):
         # the solve scales the samples before it divides, so samples near the
         # float limit whose solution is representable reconstruct and re-sample
-        # to themselves, through the library and through jtv reconstruct
+        # to themselves, through the library and through jtv reconstruct. The
+        # samples are +-s on whatever plan jtv plan writes, that is block @ c
+        # for c = s * block^-1 (1, -1, 1): s is 1e308, or less if c or the
+        # signal it synthesizes would come within 1% of the float limit
         tmp, paths = workspace
-        huge = ["1e308", "-1e308", "1e308"]
-        assert self.reconstruct_with_samples(workspace, lambda v: huge, reference=False) == 0
-        plan = fileio.load_plan(tmp / "plan.json")
-        _, values = fileio.load_samples(tmp / "samples.csv")
-        assert np.array_equal(values, [1e308, -1e308, 1e308])
+        inputs = ["--graph-t", paths["gt"], "--graph-g", paths["gg"],
+                  "--support", paths["support"]]
+        plan_path, samples, out = tmp / "plan.json", tmp / "samples.csv", tmp / "r.csv"
+        assert run("plan", *inputs, "-o", plan_path) == 0
+        plan = fileio.load_plan(plan_path)
         support = fileio.load_support(paths["support"])
         bases = [spectral.eig_sym(laplacian(fileio.load_graph(paths[g]))) for g in ("gt", "gg")]
         basis = spectral.JointBasis(*spectral.restrict_bases(*bases, support), support)
-        for x_rec in (fileio.load_signal(tmp / "r.csv"),
+        signs = (-1.0) ** np.arange(plan.size)
+        c = np.linalg.solve(basis.rows(plan.linear_indices()), signs)
+        peak = max(np.abs(c).max(), np.abs(basis.synth(c)).max())
+        s = min(1e308, 0.99 * np.finfo(float).max / peak)
+        assert s > 1e307
+        fileio.save_samples(plan, s * signs, samples)
+        assert run("reconstruct", *inputs, "--plan", plan_path, "--samples", samples,
+                   "-o", out) == 0
+        _, values = fileio.load_samples(samples)
+        assert np.array_equal(values, s * signs)
+        for x_rec in (fileio.load_signal(out),
                       sampling.reconstruct(values, plan, basis, support)):
             assert np.allclose(sampling.sample(x_rec, plan), values, rtol=1e-12, atol=0)
 
@@ -943,13 +978,20 @@ class TestVerify:
                    "-o", out) == 3
         assert "plan is not qualified: rank 0 < bandwidth 1" in capsys.readouterr().err
         assert not out.exists()
-        # the plan jtv writes for this instance still reconstructs
+        # the plan jtv writes for this instance samples no round-off entry (the
+        # whole middle slot t = 2 is round-off) and reconstructs. With K = 1 it
+        # takes a largest |entry|, so the signal re-samples to 0.01 and no
+        # entry exceeds it beyond round-off
         assert run("plan", *inputs, "-o", plan) == 0
-        assert json.loads(plan.read_text())["samples"] == [[4, 1]]
-        samples.write_text("4,1,0.01\n")
+        data = json.loads(plan.read_text())
+        (t, v), = data["samples"]
+        assert t != 2 and data["qualified"]
+        samples.write_text(f"{t},{v},0.01\n")
         assert run("reconstruct", *inputs, "--plan", plan, "--samples", samples,
                    "-o", out) == 0
-        assert np.max(np.abs(fileio.load_signal(out))) <= 0.01
+        x = fileio.load_signal(out)
+        assert x[v, t] == pytest.approx(0.01, rel=1e-12)
+        assert np.max(np.abs(x)) <= 0.01 * (1 + 1e-12)
 
     def test_non_critical_plan_exit_3(self, tmp_path, capsys):
         # ROADMAP item 6's known greedy miss, pinned as it stands (see

@@ -35,6 +35,7 @@ from jtvsampling.sampling import (
     _coverage_first_rows,
     reconstruct_coefficients,
 )
+from jtvsampling.spectral import RANK_TOL
 
 
 def make_instance(t_dim, g_dim, rng, **support_kwargs):
@@ -81,6 +82,16 @@ class TestMaxLinIndepRows:
         with pytest.raises(ValueError, match="column"):
             max_lin_indep_rows(np.zeros((3, 0)))
 
+    @pytest.mark.parametrize("factor, accepted", [(2.0, [0, 1]), (0.5, [0])])
+    def test_cut_is_rank_tol_times_max_entry(self, factor, accepted):
+        # one row per slot: a lone independent component at `factor` times the
+        # cut RANK_TOL * max|entry| = 4 RANK_TOL, for the naive scan and the
+        # planner's routine alike; a cut relative to the row's own norm would
+        # accept it at either factor
+        mat = np.array([[4.0, 0.0], [0.0, factor * RANK_TOL * 4.0]])
+        assert max_lin_indep_rows(mat) == accepted
+        assert _coverage_first_rows(mat, 1, 4.0) == accepted
+
 
 class TestCriticalSamplingSet:
     def test_reference_instance(self, ref):
@@ -126,40 +137,45 @@ class TestCriticalSamplingSet:
 
     def test_coverage_first_covers_slots_a_lowest_index_scan_misses(self):
         # Over the planner's own step-1 product grid, a lowest-index step-3
-        # scan reaches full rank on only two of the three time slots; the
-        # coverage-first pass must still deliver a critical plan,
-        # deterministically.
+        # scan can reach full rank on fewer than K_T time slots; the
+        # coverage-first pass must still deliver a critical plan there,
+        # deterministically. A seeded search (seed 7: an ER(3) graph, then 20
+        # supports with K_T = 3, K_G = 2, K = 4 on 5-cycle x ER(3)) finds such
+        # grids; 13 of the 20 were misses when this was written. Which grid
+        # step 1 picks on a cycle is round-off's choice, so none is named.
         rng = np.random.default_rng(7)
         bt = eig_sym(laplacian(cycle_graph(5)))
         bg = eig_sym(laplacian(random_connected_graph(3, rng)))
-        support = SpectralSupport(
-            t_dim=5, g_dim=3, pairs=frozenset({(0, 0), (0, 1), (3, 1), (4, 0)})
-        )
-        ut_r, ug_r = restrict_bases(bt, bg, support)
-        uj = joint_basis_columns(bt, bg, support)
-        slots, vertices = sampling._factor_rows(ut_r, ug_r)
-        assert (slots, vertices) == ([0, 3, 4], [0, 2])
-        product = [(t, v) for t in slots for v in vertices]
-        lex = max_lin_indep_rows(uj[[t * 3 + v for t, v in product]])
-        assert len(lex) == support.k
-        assert len({product[i][0] for i in lex}) < support.k_t
-        plan, report = critical_sampling_set(ut_r, ug_r, uj, support)
-        assert report.critical
-        plan2, _ = critical_sampling_set(ut_r, ug_r, uj, support)
-        assert plan == plan2
+        misses = 0
+        for _ in range(20):
+            support = random_support(5, 3, rng, k_t=3, k_g=2, k=4)
+            ut_r, ug_r = restrict_bases(bt, bg, support)
+            uj = joint_basis_columns(bt, bg, support)
+            slots, vertices = sampling._factor_rows(ut_r, ug_r)
+            product = [(t, v) for t in slots for v in vertices]
+            lex = max_lin_indep_rows(uj[[t * 3 + v for t, v in product]])
+            assert len(lex) == support.k
+            if len({product[i][0] for i in lex}) == support.k_t:
+                continue
+            misses += 1
+            plan, report = critical_sampling_set(ut_r, ug_r, uj, support)
+            assert report.critical
+            plan2, _ = critical_sampling_set(ut_r, ug_r, uj, support)
+            assert plan == plan2
+        assert misses > 0
 
     def test_coverage_first_pick_order(self):
         # 2 x 2 grid, rows in (t, v) order; the lowest-index scan takes [0, 1]
         rows = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [3.0, 0.0]])
         # largest residual first; row 0 then covers two new cells but is
         # dependent, so the tie between rows 1 and 2 goes to the lower index
-        assert _coverage_first_rows(rows, 2) == [3, 1]
+        assert _coverage_first_rows(rows, 2, 3.0) == [3, 1]
         rows = np.array([[10.0, 0.0], [0.0, 5.0], [0.0, 1.0], [1.0, 1.0]])
         # row 3 covers two new cells and beats row 1's larger residual
-        assert _coverage_first_rows(rows, 2) == [0, 3]
+        assert _coverage_first_rows(rows, 2, 10.0) == [0, 3]
         rows = np.array([[3.0, 0.0, 0.0], [2.5, 0.0, 0.1], [0.0, 0.0, 1.0], [0.0, 2.0, 0.0]])
         # once every slot and vertex is covered, row 2's residual beats row 1's norm
-        assert _coverage_first_rows(rows, 2) == [0, 3, 2]
+        assert _coverage_first_rows(rows, 2, 3.0) == [0, 3, 2]
 
     def test_known_greedy_miss_on_path_grid(self):
         # ROADMAP item 6, pinned as it stands: on a 4-path x 4-path grid with
@@ -226,15 +242,32 @@ class TestCriticalSamplingSet:
             separate_sampling(ref.ut_r, np.zeros_like(ref.ug_r))
 
     def test_product_rank_short_raises_step_3(self):
-        # step 1 accepts both rows of each factor (residual 1e-5 > 1e-9), but the
-        # four product rows reach rank 4 only through a 1e-10 component, below
-        # 1e-9 of a row's norm
-        factor = np.array([[1.0, 0.0], [1.0, 1e-5]])
+        # the cut is RANK_TOL * max|entry| = 1e-10 in both steps: step 1 accepts
+        # both rows of each factor (residual 1e-6), but the four product rows
+        # reach rank 4 only through a 1e-12 component, two decades below it
+        factor = np.array([[1.0, 0.0], [1.0, 1e-6]])
         full = SpectralSupport(t_dim=2, g_dim=2, pairs={(0, 0), (0, 1), (1, 0), (1, 1)})
         uj = JointBasis(factor, factor, full)
         with pytest.raises(RankDeficiencyError,
                            match=r"^step 3: product rows have rank 3 < 4$"):
             critical_sampling_set(factor, factor, uj, full)
+
+    def test_step_1_ranks_at_the_joint_basis_cut(self):
+        # 2 slots x 1 vertex: step 1 ranks the time basis at RANK_TOL times its
+        # max |entry|, qualify's cut, not at a fraction of each row's own norm
+        support = SpectralSupport(t_dim=2, g_dim=1, pairs={(0, 0), (1, 0)})
+        ug_r = np.array([[1.0]])
+        # a 5e-10 row is independent at the cut: the full plan, qualified
+        ut_r = np.array([[1.0, 0.0], [0.0, 5e-10]])
+        plan, report = critical_sampling_set(ut_r, ug_r, JointBasis(ut_r, ug_r, support),
+                                             support)
+        assert plan.sorted_samples == ((0, 0), (1, 0))
+        assert (report.rank, report.qualified, report.critical) == (2, True, True)
+        # a residual of 5e-17 is not, however large its row: refused in step 1,
+        # not planned and then called unqualified by qualify
+        ut_r = np.array([[1.0, 0.0], [1e-8, 5e-17]])
+        with pytest.raises(RankDeficiencyError, match=r"^step 1: time basis has rank 1 < 2$"):
+            critical_sampling_set(ut_r, ug_r, JointBasis(ut_r, ug_r, support), support)
 
     def test_shape_mismatch(self, ref):
         uj = joint_columns_from_restricted(ref.ut_r, ref.ug_r, ref.support)
@@ -575,11 +608,24 @@ class TestReconstruct:
             reconstruct(np.zeros(2), plan, uj, ref.support)
 
     def test_ill_conditioned_rejected(self):
+        # a 1e-14 singular value lies below the cut RANK_TOL * max|entry|, so
+        # the rank check refuses this block before its condition is looked at
         support = SpectralSupport(t_dim=2, g_dim=2, pairs=frozenset({(0, 0), (1, 1)}))
         uj = np.array([[1.0, 1.0], [0.0, 1e-14], [0.0, 0.0], [0.0, 0.0]])
         plan = SamplingPlan(2, 2, frozenset({(0, 0), (0, 1)}))
-        with pytest.raises((IllConditionedError, UnqualifiedPlanError)):
+        with pytest.raises(UnqualifiedPlanError, match="rank 1 < bandwidth 2"):
             reconstruct_coefficients(np.array([1.0, 0.0]), plan, uj, support)
+        # ones + 3e-10 (I - ee'/K) at K = 400 has singular values 400 and 3e-10,
+        # 3x the cut: full rank, condition 1.33e12 (up to round-off) >
+        # COND_LIMIT. Every cell of a 20 x 20 grid is sampled
+        k = 400
+        support = SpectralSupport(t_dim=20, g_dim=20,
+                                  pairs=frozenset(divmod(i, 20) for i in range(k)))
+        uj = np.ones((k, k)) + 3e-10 * (np.eye(k) - np.ones((k, k)) / k)
+        plan = SamplingPlan(20, 20, frozenset(divmod(i, 20) for i in range(k)))
+        with pytest.raises(IllConditionedError,
+                           match=r"condition estimate 1\.3\d\de\+12 exceeds 1e\+12"):
+            reconstruct_coefficients(np.ones(k), plan, uj, support)
 
     def test_overflowing_values_rejected(self):
         support = SpectralSupport(t_dim=2, g_dim=2, pairs=frozenset({(0, 0), (1, 1)}))
