@@ -53,6 +53,14 @@ def _given(args, *dests):
     return [f"--{d.replace('_', '-')}" for d in dests if getattr(args, d) is not None]
 
 
+def _seed(args):
+    """``--seed``, else ``$JTV_SEED``, else 0; read only where a generator is
+    seeded, so a command that draws nothing ignores ``$JTV_SEED``."""
+    if args.seed is not None:
+        return args.seed
+    return int(os.environ.get(SEED_ENV, "0"))
+
+
 def _load_restricted(args):
     """The joint basis of the ``--support`` file, held as its restricted bases,
     computed from the two graphs or injected from a basis file, not both."""
@@ -77,7 +85,7 @@ def cmd_gen_graph(args):
     elif args.type == "path":
         g = graphs.path_graph(args.n)
     else:
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(_seed(args))
         try:
             g = generate.random_connected_graph(args.n, rng, p=args.p)
         except RuntimeError as exc:  # no connected draw: --p too small for --n
@@ -97,7 +105,7 @@ def cmd_gen_support(args):
         )
     else:
         support = generate.random_support(
-            args.t, args.n, np.random.default_rng(args.seed),
+            args.t, args.n, np.random.default_rng(_seed(args)),
             k_t=args.kt, k_g=args.kg, k=args.k,
         )
     fileio.save_support(support, args.out)
@@ -110,7 +118,7 @@ def cmd_gen_support(args):
 
 def cmd_gen_signal(args):
     basis = _load_restricted(args)
-    coeffs = generate.random_coeffs(basis.support, np.random.default_rng(args.seed))
+    coeffs = generate.random_coeffs(basis.support, np.random.default_rng(_seed(args)))
     x_mat = bandlimit.synth_from_restricted(basis.ut_r, basis.ug_r, basis.support, coeffs)
     fileio.save_signal(x_mat, args.out)
     print(f"wrote {x_mat.shape[0]}x{x_mat.shape[1]} signal to {args.out}")
@@ -191,6 +199,8 @@ def cmd_reconstruct(args):
 
 
 def cmd_verify(args):
+    if args.trials is not None and not args.exhaustive:
+        raise ValueError("--trials cannot be given without --exhaustive")
     basis = _load_restricted(args)
     ut_r, ug_r, support = basis.ut_r, basis.ug_r, basis.support
     plan, report = sampling.critical_sampling_set(ut_r, ug_r, basis, support)
@@ -203,7 +213,8 @@ def cmd_verify(args):
         out["exhaustive"] = {**dataclasses.asdict(ex),
                              "floor_t": support.floor_t, "floor_g": support.floor_g}
         mono = oracle.check_monotonicity(
-            uj, args.trials, rng=np.random.default_rng(args.seed)
+            uj, 200 if args.trials is None else args.trials,
+            rng=np.random.default_rng(_seed(args)),
         )
         out["monotone"] = mono
         if ex.violations or ex.min_qualified_size != support.k or not mono:
@@ -216,6 +227,8 @@ def cmd_verify(args):
 
 def cmd_bench(args):
     if args.support:
+        if args.seed is not None:  # the instance is given, nothing is drawn
+            raise ValueError("--seed cannot be given with --support")
         rows = [bench.benchmark_case(_load_restricted(args), repeats=args.repeats)]
     else:
         flags = _given(args, "graph_t", "graph_g", "basis_file")
@@ -224,7 +237,7 @@ def cmd_bench(args):
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
         if not sizes:
             raise ValueError("no sizes given")
-        rows = bench.benchmark(sizes, seed=args.seed, repeats=args.repeats)
+        rows = bench.benchmark(sizes, seed=_seed(args), repeats=args.repeats)
     bench.write_bench_csv(rows, args.out)
     for r in rows:
         print(
@@ -245,7 +258,8 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # shared inputs: the bases (two graph files or one basis file), the instance
-    # (bases and --support), the seed (main falls back to $JTV_SEED) and --out
+    # (bases and --support), the seed (where a generator is seeded, $JTV_SEED
+    # stands in for a missing --seed) and --out
     bases = argparse.ArgumentParser(add_help=False)
     bases.add_argument("--graph-t")
     bases.add_argument("--graph-g")
@@ -310,9 +324,10 @@ def build_parser():
     vf = sub.add_parser("verify", parents=[instance],
                         help="check plan qualification, optionally by enumeration")
     vf.add_argument("--exhaustive", action="store_true")
-    vf.add_argument("--trials", type=int, default=200, help="monotonicity trials")
+    vf.add_argument("--trials", type=int, default=None,
+                    help="monotonicity trials, only with --exhaustive (default 200)")
     vf.add_argument("--out", "-o", default=None)
-    # no --seed flag: the monotonicity trials always draw from $JTV_SEED
+    # no --seed flag: the monotonicity trials draw from $JTV_SEED, else seed 0
     vf.set_defaults(cmd="cmd_verify", seed=None)
 
     bn = sub.add_parser("bench", parents=[bases, seeded, written],
@@ -320,7 +335,7 @@ def build_parser():
     cases = bn.add_mutually_exclusive_group()
     cases.add_argument("--sizes", default="16,24,32", help="comma-separated n with T=N=n")
     cases.add_argument("--support", help="bench one explicit instance, not a "
-                       "--sizes sweep; --seed and $JTV_SEED do not apply to it")
+                       "--sizes sweep; not with --seed")
     bn.add_argument("--repeats", type=int, default=3)
     bn.set_defaults(cmd="cmd_bench")
 
@@ -338,8 +353,6 @@ def main(argv=None):
     repeatedly in one process."""
     args = _parser().parse_args(argv)
     try:
-        if "seed" in args and args.seed is None:
-            args.seed = int(os.environ.get(SEED_ENV, "0"))
         # looked up at call time, so a rebound cmd_* attribute is the one run
         return globals()[args.cmd](args)
     except (sampling.UnqualifiedPlanError, sampling.IllConditionedError,

@@ -253,6 +253,22 @@ class TestSharedInputs:
         assert (tmp / "env").read_bytes() == (tmp / "flag").read_bytes()
         assert (tmp / "env").read_bytes() != (tmp / "unset").read_bytes()
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "graph", "--type", "cycle", "--n", 4],
+        ["gen", "support", "--t", 4, "--n", 4, "--pairs", "1,1"],
+        ["bench", "--repeats", 1],
+    ], ids=["gen graph cycle", "gen support pairs", "bench support"])
+    def test_env_seed_unread_where_nothing_is_drawn(self, workspace, monkeypatch, argv):
+        # $JTV_SEED is read only where a generator is seeded; a malformed
+        # value used to fail these commands with exit 2
+        tmp, paths = workspace
+        if argv[0] == "bench":
+            argv = [*argv, "--support", paths["support"], "--basis-file", paths["basis"]]
+        monkeypatch.setenv("JTV_SEED", "seven")
+        out = tmp / "out.txt"
+        assert run(*argv, "-o", out) == 0
+        assert out.exists()
+
     @pytest.mark.parametrize("name", [*SEEDED, "bench", "verify"])
     def test_invalid_env_seed_exit_2(self, workspace, monkeypatch, name):
         tmp, paths = workspace
@@ -877,12 +893,11 @@ class TestDispatch:
         # every call sees what a parser of its own would give it
         for argv, got in zip(calls, seen):
             want = vars(cli.build_parser().parse_args([str(a) for a in argv]))
-            if want.get("seed", 0) is None:
-                want["seed"] = 0
             assert got == want
         er, cycle, _, analyze, verify = seen
-        assert (er["seed"], er["p"], cycle["seed"], cycle["p"]) == (5, 0.3, 0, 0.5)
-        assert (verify["exhaustive"], verify["trials"]) == (False, 200)
+        # main fills in nothing: a flag not given stays None for the command
+        assert (er["seed"], er["p"], cycle["seed"], cycle["p"]) == (5, 0.3, None, 0.5)
+        assert (verify["exhaustive"], verify["trials"]) == (False, None)
         assert "seed" not in analyze and "support" not in analyze
 
 
@@ -1017,6 +1032,24 @@ class TestVerify:
         assert (ex["exists_critical_set"], ex["violations"], ex["min_qualified_size"],
                 data["monotone"]) == (True, [], 3, True)
 
+    def test_trials_without_exhaustive_exit_2(self, tmp_path, capsys):
+        # no monotonicity trial runs without --exhaustive: --trials used to be
+        # ignored with exit 0
+        out = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run("verify", *self.sparse_instance(tmp_path), "--trials", 5, "-o", out) == 2
+        assert capsys.readouterr().err == "error: --trials cannot be given without --exhaustive\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option, trials", [((), 200), (("--trials", 7), 7)])
+    def test_exhaustive_trials(self, tmp_path, monkeypatch, option, trials):
+        seen = []
+        mono = oracle.check_monotonicity
+        monkeypatch.setattr(oracle, "check_monotonicity",
+                            lambda uj, n, rng: seen.append(n) or mono(uj, n, rng=rng))
+        assert run("verify", *self.sparse_instance(tmp_path), "--exhaustive", *option) == 0
+        assert seen == [trials]
+
     @pytest.mark.parametrize("option", [("--trials", 0), ("--trials", -5)])
     def test_exhaustive_rejects_empty_checks(self, tmp_path, option):
         code = run("verify", *self.sparse_instance(tmp_path), "--exhaustive", *option)
@@ -1072,6 +1105,16 @@ class TestBench:
         assert run("bench", "--sizes", 8, flag, tmp_path / "missing.json",
                    "--repeats", 1, "-o", out) == 2
         assert capsys.readouterr().err == f"error: {flag} cannot be given without --support\n"
+        assert not out.exists()
+
+    def test_support_with_seed_exit_2(self, workspace, capsys):
+        # the instance is given, so nothing is drawn: --seed used to be
+        # ignored with exit 0
+        tmp, paths = workspace
+        out = tmp / "bench.csv"
+        assert run("bench", "--support", paths["support"], "--basis-file", paths["basis"],
+                   "--seed", 5, "--repeats", 1, "-o", out) == 2
+        assert capsys.readouterr().err == "error: --seed cannot be given with --support\n"
         assert not out.exists()
 
     def test_support_with_sizes_is_a_usage_error(self, workspace):

@@ -1,5 +1,7 @@
 import ast
+import tracemalloc
 from itertools import combinations
+from math import comb
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -394,6 +396,25 @@ class TestExhaustiveCheck:
             assert report.count_qualified_at_k == np.sum(ratio > 1e-12)
             if j == 68:
                 assert np.sum((ratio > 0) & (ratio < 1e-15)) > 0
+
+    def test_memory_at_the_size_limit(self, monkeypatch):
+        # T*N = 20, K = 10 is the worst case: with every stacked matrix ranked
+        # at its row count, all C(20, 10) = 184,756 K-sets qualify and every
+        # report field is computed over all of them. Measured: a traced peak
+        # of 9.7 MB with the uint8 table; an intp table alone is 14.8 MB.
+        support = SpectralSupport(t_dim=4, g_dim=5, pairs=frozenset(
+            (jt, jg) for jt in range(3) for jg in range(4) if (jt, jg) not in {(2, 2), (2, 3)}))
+        uj = np.random.default_rng(20).normal(size=(20, 10))
+        monkeypatch.setattr(oracle, "elimination_rank",
+                            lambda mat, scale=None: np.full(mat.shape[:-2], mat.shape[-2]))
+        tracemalloc.start()
+        try:
+            report = exhaustive_check(uj, support)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.count_qualified_at_k == comb(20, 10) == 184_756
+        assert peak < 16e6
 
     def test_round_off_rows_do_not_qualify(self):
         # rows 0 and 1 are round-off: against their own scale they have rank
