@@ -47,7 +47,10 @@ def benchmark_case(basis: JointBasis, repeats: int = 3) -> BenchRow:
     the basis itself. The early-stop scan is the full scan over the rows up
     to its K-th pick: exactly the work of a scan that ends once it reaches
     rank K. The calls alternate for ``repeats`` rounds and each keeps its best
-    time, so a slow spell on the machine hits every side alike.
+    time, so a slow spell on the machine hits every side alike. From n = 80
+    (:func:`prepare_case`) the naive scan can return K rows that
+    ``sampling.qualify``'s rank rule calls rank-short, so there the naive
+    columns time a scan whose result is not sound.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")

@@ -48,9 +48,12 @@ def _load_bases(args):
     )
 
 
-def _given(args, *dests):
-    """The flags of ``dests`` that the command line set, as ``--name``."""
-    return [f"--{d.replace('_', '-')}" for d in dests if getattr(args, d) is not None]
+def _refuse(args, dests, context):
+    """Refuse (``ValueError``, exit 2) the flags of ``dests`` that the command
+    line set: the command does not read them ``context`` ("with --pairs", ...)."""
+    given = [f"--{d.replace('_', '-')}" for d in dests if getattr(args, d) is not None]
+    if given:
+        raise ValueError(f"{', '.join(given)} cannot be given {context}")
 
 
 def _seed(args):
@@ -64,9 +67,8 @@ def _seed(args):
 def _load_restricted(args):
     """The joint basis of the ``--support`` file, held as its restricted bases,
     computed from the two graphs or injected from a basis file, not both."""
-    graph_flags = _given(args, "graph_t", "graph_g")
-    if args.basis_file is not None and graph_flags:
-        raise ValueError(f"{', '.join(graph_flags)} cannot be given with --basis-file")
+    if args.basis_file is not None:
+        _refuse(args, ("graph_t", "graph_g"), "with --basis-file")
     support = fileio.load_support(args.support)
     if args.basis_file:
         ut_r, ug_r = fileio.load_basis_pair(args.basis_file)
@@ -78,16 +80,21 @@ def _load_restricted(args):
 
 
 def cmd_gen_graph(args):
+    # star alone reads --center, er alone --p and --seed
+    _refuse(args, [d for d, t in (("center", "star"), ("p", "er"), ("seed", "er"))
+                   if t != args.type], f"with --type {args.type}")
+    # only this type's keyword can be left; unset, the library default applies
+    given = {d: getattr(args, d) for d in ("center", "p") if getattr(args, d) is not None}
     if args.type == "cycle":
         g = graphs.cycle_graph(args.n)
     elif args.type == "star":
-        g = graphs.star_graph(args.n, center=args.center)
+        g = graphs.star_graph(args.n, **given)
     elif args.type == "path":
         g = graphs.path_graph(args.n)
     else:
         rng = np.random.default_rng(_seed(args))
         try:
-            g = generate.random_connected_graph(args.n, rng, p=args.p)
+            g = generate.random_connected_graph(args.n, rng, **given)
         except RuntimeError as exc:  # no connected draw: --p too small for --n
             raise ValueError(exc) from exc
     fileio.save_graph(g, args.out)
@@ -96,10 +103,8 @@ def cmd_gen_graph(args):
 
 
 def cmd_gen_support(args):
-    if args.pairs is not None:
-        flags = _given(args, "kt", "kg", "k")
-        if flags:
-            raise ValueError(f"{', '.join(flags)} cannot be given with --pairs")
+    if args.pairs is not None:  # the support is given, nothing is drawn
+        _refuse(args, ("kt", "kg", "k", "seed"), "with --pairs")
         support = bandlimit.SpectralSupport(
             t_dim=args.t, g_dim=args.n, pairs=_parse_pairs(args.pairs)
         )
@@ -199,8 +204,8 @@ def cmd_reconstruct(args):
 
 
 def cmd_verify(args):
-    if args.trials is not None and not args.exhaustive:
-        raise ValueError("--trials cannot be given without --exhaustive")
+    if not args.exhaustive:
+        _refuse(args, ("trials",), "without --exhaustive")
     basis = _load_restricted(args)
     ut_r, ug_r, support = basis.ut_r, basis.ug_r, basis.support
     plan, report = sampling.critical_sampling_set(ut_r, ug_r, basis, support)
@@ -227,13 +232,11 @@ def cmd_verify(args):
 
 def cmd_bench(args):
     if args.support:
-        if args.seed is not None:  # the instance is given, nothing is drawn
-            raise ValueError("--seed cannot be given with --support")
+        _refuse(args, ("seed",), "with --support")  # the instance is given, nothing is drawn
         rows = [bench.benchmark_case(_load_restricted(args), repeats=args.repeats)]
     else:
-        flags = _given(args, "graph_t", "graph_g", "basis_file")
-        if flags:  # the sweep builds its own instances
-            raise ValueError(f"{', '.join(flags)} cannot be given without --support")
+        # the sweep builds its own instances
+        _refuse(args, ("graph_t", "graph_g", "basis_file"), "without --support")
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
         if not sizes:
             raise ValueError("no sizes given")
@@ -277,8 +280,8 @@ def build_parser():
     gg = gen_sub.add_parser("graph", parents=[seeded, written], help="write a graph JSON file")
     gg.add_argument("--type", choices=["cycle", "star", "path", "er"], required=True)
     gg.add_argument("--n", type=int, required=True)
-    gg.add_argument("--center", type=int, default=0, help="star center (0-based)")
-    gg.add_argument("--p", type=float, default=0.5, help="edge probability for er")
+    gg.add_argument("--center", type=int, help="star center, 0-based (default 0)")
+    gg.add_argument("--p", type=float, help="er edge probability (default 0.5)")
     gg.set_defaults(cmd="cmd_gen_graph")
 
     gs = gen_sub.add_parser("support", parents=[seeded, written],
@@ -286,7 +289,7 @@ def build_parser():
     gs.add_argument("--t", type=int, required=True, help="time length T")
     gs.add_argument("--n", type=int, required=True, help="vertex count N")
     gs.add_argument("--pairs", help='explicit pairs "jt,jg;jt,jg;..." (0-based, each '
-                    'once); not with --kt, --kg or --k')
+                    'once); not with --kt, --kg, --k or --seed')
     gs.add_argument("--kt", type=int, default=None)
     gs.add_argument("--kg", type=int, default=None)
     gs.add_argument("--k", type=int, default=None)

@@ -146,6 +146,35 @@ class TestGen:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["graph", "--type", "cycle", "--n", 4, "--p", 0.3],
+         "--p cannot be given with --type cycle"),
+        (["graph", "--type", "er", "--n", 4, "--center", 2],
+         "--center cannot be given with --type er"),
+        (["graph", "--type", "path", "--n", 4, "--seed", 5],
+         "--seed cannot be given with --type path"),
+        (["graph", "--type", "star", "--n", 4, "--seed", 5, "--p", 0.3],
+         "--p, --seed cannot be given with --type star"),
+        (["support", "--t", 4, "--n", 4, "--pairs", "1,1", "--seed", 5],
+         "--seed cannot be given with --pairs"),
+    ], ids=["cycle p", "er center", "path seed", "star p seed", "pairs seed"])
+    def test_unread_flag_exit_2(self, tmp_path, capsys, argv, message):
+        # each flag used to be ignored: the file was written and the exit was 0
+        out = tmp_path / "out.json"
+        assert run("gen", *argv, "-o", out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, default", [
+        (["--type", "star", "--n", 5], ["--center", 0]),
+        (["--type", "er", "--n", 8, "--seed", 3], ["--p", 0.5]),
+    ], ids=["star center", "er p"])
+    def test_unset_flag_is_the_library_default(self, tmp_path, argv, default):
+        unset, given = tmp_path / "unset.json", tmp_path / "given.json"
+        assert run("gen", "graph", *argv, "-o", unset) == 0
+        assert run("gen", "graph", *argv, *default, "-o", given) == 0
+        assert unset.read_bytes() == given.read_bytes()
+
     def test_signal_builds_no_joint_basis(self, workspace, monkeypatch):
         # gen signal synthesizes from the restricted bases; only the oracle
         # (verify --exhaustive) and bench need the dense (T*N, K) joint basis
@@ -896,7 +925,7 @@ class TestDispatch:
             assert got == want
         er, cycle, _, analyze, verify = seen
         # main fills in nothing: a flag not given stays None for the command
-        assert (er["seed"], er["p"], cycle["seed"], cycle["p"]) == (5, 0.3, None, 0.5)
+        assert (er["seed"], er["p"], cycle["seed"], cycle["p"]) == (5, 0.3, None, None)
         assert (verify["exhaustive"], verify["trials"]) == (False, None)
         assert "seed" not in analyze and "support" not in analyze
 
