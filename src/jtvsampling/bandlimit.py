@@ -1,7 +1,7 @@
 """Spectral supports, bandwidth bookkeeping, and bandlimited signal synthesis."""
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -9,16 +9,20 @@ from .graphs import _as_index
 from .spectral import EigenBasis, JointBasis, restrict_bases
 
 
-def _check_index_pairs(obj, attr, item, empty):
+def _check_index_pairs(obj, attr, kind, item, noun):
     """Store the dims and index pairs ``attr`` of frozen ``obj`` as ints, the
-    pairs as a frozenset. ``ValueError`` on a non-integral dim or index, on no
-    pairs (message ``empty``) and on an ``item`` outside [0, T) x [0, N)."""
+    pairs as a frozenset: the one place a ``kind`` ("support", ...) is made
+    canonical, from any iterables such as parsed JSON lists. ``ValueError`` on
+    a non-integral dim or index, on a dim below 1, on no pairs (no ``noun``)
+    and on an ``item`` outside [0, T) x [0, N)."""
     t_dim, g_dim = (_as_index(d, "dimension") for d in (obj.t_dim, obj.g_dim))
+    if min(t_dim, g_dim) < 1:
+        raise ValueError(f"{kind} dimensions must be positive")
     what = f"{item} index"
     pairs = frozenset((_as_index(a, what), _as_index(b, what))
                       for a, b in getattr(obj, attr))
     if not pairs:
-        raise ValueError(empty)
+        raise ValueError(f"{kind} must contain at least one {noun}")
     for a, b in pairs:
         if not (0 <= a < t_dim and 0 <= b < g_dim):
             raise ValueError(f"{item} ({a}, {b}) out of range for dims ({t_dim}, {g_dim})")
@@ -36,13 +40,10 @@ class SpectralSupport:
 
     t_dim: int
     g_dim: int
-    pairs: frozenset = field(default_factory=frozenset)
+    pairs: frozenset
 
     def __post_init__(self):
-        if min(_as_index(d, "dimension") for d in (self.t_dim, self.g_dim)) < 1:
-            raise ValueError("support dimensions must be positive")
-        _check_index_pairs(self, "pairs", "pair",
-                           "support must contain at least one frequency pair")
+        _check_index_pairs(self, "pairs", "support", "pair", "frequency pair")
 
     @property
     def sorted_pairs(self):

@@ -37,7 +37,7 @@ def _parse_pairs(text):
         pairs.add((jt, jg))
     if not pairs:
         raise ValueError("no pairs given")
-    return frozenset(pairs)
+    return pairs
 
 
 def _load_bases(args):
@@ -231,7 +231,7 @@ def cmd_verify(args):
 
 
 def cmd_bench(args):
-    if args.support:
+    if args.support is not None:
         _refuse(args, ("seed",), "with --support")  # the instance is given, nothing is drawn
         rows = [bench.benchmark_case(_load_restricted(args), repeats=args.repeats)]
     else:

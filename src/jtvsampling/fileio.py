@@ -16,8 +16,7 @@ from .sampling import QualificationReport, SamplingPlan
 
 def _dump_json(obj, path):
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _load_json(path, kind, build):
@@ -35,9 +34,7 @@ def save_graph(g: Graph, path):
 
 
 def load_graph(path) -> Graph:
-    return _load_json(path, "graph", lambda data: Graph(
-        data["n"], tuple(tuple(e) for e in data["edges"])
-    ))
+    return _load_json(path, "graph", lambda data: Graph(data["n"], data["edges"]))
 
 
 def save_support(s: SpectralSupport, path):
@@ -51,7 +48,7 @@ def load_support(path) -> SpectralSupport:
     return _load_json(path, "support", lambda data: SpectralSupport(
         t_dim=data["T"],
         g_dim=data["N"],
-        pairs=frozenset(tuple(p) for p in data["pairs"]),
+        pairs=data["pairs"],
     ))
 
 
@@ -102,7 +99,7 @@ def load_plan(path) -> SamplingPlan:
     return _load_json(path, "plan", lambda data: SamplingPlan(
         t_dim=data["T"],
         g_dim=data["N"],
-        samples=frozenset(tuple(s) for s in data["samples"]),
+        samples=data["samples"],
     ))
 
 

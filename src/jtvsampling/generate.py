@@ -21,7 +21,7 @@ def random_connected_graph(n: int, rng: np.random.Generator, p: float = 0.5) -> 
             for j in range(i + 1, n):
                 if rng.random() < p:
                     edges.append((i, j, float(rng.uniform(0.5, 1.5))))
-        g = Graph(n, tuple(edges))
+        g = Graph(n, edges)
         if g.is_connected():
             return g
     raise RuntimeError(f"no connected graph found in {MAX_ATTEMPTS} attempts (p={p})")
@@ -60,7 +60,7 @@ def random_support(t_dim: int, g_dim: int, rng: np.random.Generator,
     if extra:
         idx = rng.choice(len(rest), size=extra, replace=False)
         pairs.update(rest[i] for i in idx)
-    return SpectralSupport(t_dim=t_dim, g_dim=g_dim, pairs=frozenset(pairs))
+    return SpectralSupport(t_dim=t_dim, g_dim=g_dim, pairs=pairs)
 
 
 def random_coeffs(support: SpectralSupport, rng: np.random.Generator) -> dict:

@@ -25,7 +25,11 @@ def _as_index(value, what):
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected weighted graph without self-loops or duplicate edges."""
+    """Undirected weighted graph without self-loops or duplicate edges.
+
+    ``edges`` is any iterable of (i, j, w) triples, such as parsed JSON lists;
+    it is stored as a tuple of (int, int, float) tuples.
+    """
 
     n: int
     edges: tuple
@@ -90,7 +94,7 @@ def cycle_graph(t: int) -> Graph:
             f"cycle graph needs at least 3 vertices (got {t}): smaller sizes "
             "would create a multi-edge or self-loop"
         )
-    return Graph(t, tuple((k, (k + 1) % t, 1.0) for k in range(t)))
+    return Graph(t, ((k, (k + 1) % t, 1.0) for k in range(t)))
 
 
 def star_graph(n: int, center: int = 0) -> Graph:
@@ -99,14 +103,14 @@ def star_graph(n: int, center: int = 0) -> Graph:
         raise ValueError(f"star graph needs at least 2 vertices, got {n}")
     if not 0 <= center < n:
         raise ValueError(f"center {center} out of range for n={n}")
-    return Graph(n, tuple((center, v, 1.0) for v in range(n) if v != center))
+    return Graph(n, ((center, v, 1.0) for v in range(n) if v != center))
 
 
 def path_graph(n: int) -> Graph:
     """Path on n vertices with unit weights."""
     if n < 1:
         raise ValueError(f"path graph needs at least 1 vertex, got {n}")
-    return Graph(n, tuple((k, k + 1, 1.0) for k in range(n - 1)))
+    return Graph(n, ((k, k + 1, 1.0) for k in range(n - 1)))
 
 
 def cartesian_laplacian(l_time: np.ndarray, l_graph: np.ndarray) -> np.ndarray:

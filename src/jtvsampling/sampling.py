@@ -39,8 +39,7 @@ class SamplingPlan:
     samples: frozenset
 
     def __post_init__(self):
-        _check_index_pairs(self, "samples", "sample",
-                           "sampling plan must contain at least one sample")
+        _check_index_pairs(self, "samples", "sampling plan", "sample", "sample")
 
     @property
     def sorted_samples(self):
@@ -204,8 +203,8 @@ def critical_sampling_set(ut_r: np.ndarray, ug_r: np.ndarray, uj,
     picked = _coverage_first_rows(rows, len(sel_g), basis.scale)
     if len(picked) != support.k:
         raise RankDeficiencyError(f"step 3: product rows have rank {len(picked)} < {support.k}")
-    samples = frozenset(product[i] for i in picked)
-    plan = SamplingPlan(t_dim=support.t_dim, g_dim=support.g_dim, samples=samples)
+    plan = SamplingPlan(t_dim=support.t_dim, g_dim=support.g_dim,
+                        samples=(product[i] for i in picked))
     return plan, qualify(plan, uj, support)
 
 
@@ -248,8 +247,8 @@ def separate_sampling(ut_r: np.ndarray, ug_r: np.ndarray) -> SamplingPlan:
     its bounding rectangle.
     """
     sel_t, sel_g = _factor_rows(ut_r, ug_r)
-    samples = frozenset((t, v) for t in sel_t for v in sel_g)
-    return SamplingPlan(t_dim=len(ut_r), g_dim=len(ug_r), samples=samples)
+    return SamplingPlan(t_dim=len(ut_r), g_dim=len(ug_r),
+                        samples=((t, v) for t in sel_t for v in sel_g))
 
 
 def sample(x_mat: np.ndarray, plan: SamplingPlan) -> np.ndarray:

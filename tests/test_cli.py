@@ -1038,10 +1038,13 @@ class TestVerify:
         assert np.max(np.abs(x)) <= 0.01 * (1 + 1e-12)
 
     def test_non_critical_plan_exit_3(self, tmp_path, capsys):
-        # ROADMAP item 6's known greedy miss, pinned as it stands (see
-        # test_sampling's test_known_greedy_miss_on_path_grid): plan writes a
-        # qualified plan on 2 of K_T = 3 time slots and exits 0, and verify
-        # exits 3 on it although the oracle finds a critical set and no fault
+        # ROADMAP item 6's known greedy miss (see test_sampling's
+        # test_known_greedy_miss_on_path_grid): plan writes a qualified plan of
+        # K = 3 samples on 2 of K_T = 3 time slots and exits 0, and verify exits
+        # 3 on it although the oracle finds a critical set and no fault. The
+        # cells are not pinned: a tie rule that only moves the plan (item 2)
+        # need not edit this test, a coverage fix that makes it critical
+        # (item 14) must.
         gt, sup = tmp_path / "gt.json", tmp_path / "support.json"
         assert run("gen", "graph", "--type", "path", "--n", 4, "-o", gt) == 0
         assert run("gen", "support", "--t", 4, "--n", 4, "--pairs", "1,1;2,2;3,3",
@@ -1051,7 +1054,8 @@ class TestVerify:
         assert run("plan", *inputs, "-o", tmp_path / "plan.json") == 0
         assert "|S|=3 |S_T|=2 |S_G|=3 critical=False" in capsys.readouterr().out
         plan = json.loads((tmp_path / "plan.json").read_text())
-        assert plan["samples"] == [[0, 0], [0, 3], [1, 1]]
+        assert (len(plan["samples"]), len(plan["s_t"]), len(plan["s_g"])) == (3, 2, 3)
+        assert (plan["K"], plan["K_T"], plan["rank"]) == (3, 3, 3)
         assert (plan["qualified"], plan["critical"]) == (True, False)
         out = tmp_path / "report.json"
         assert run("verify", *inputs, "--exhaustive", "--trials", 10, "-o", out) == 3
@@ -1144,6 +1148,14 @@ class TestBench:
         assert run("bench", "--support", paths["support"], "--basis-file", paths["basis"],
                    "--seed", 5, "--repeats", 1, "-o", out) == 2
         assert capsys.readouterr().err == "error: --seed cannot be given with --support\n"
+        assert not out.exists()
+
+    def test_empty_support_path_exit_2(self, tmp_path, capsys):
+        # --support "" used to count as no --support: the default sweep ran,
+        # wrote the table and exited 0, where plan --support "" exits 2
+        out = tmp_path / "bench.csv"
+        assert run("bench", "--support", "", "--repeats", 1, "-o", out) == 2
+        assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
         assert not out.exists()
 
     def test_support_with_sizes_is_a_usage_error(self, workspace):

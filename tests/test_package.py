@@ -1,4 +1,10 @@
+import ast
+from pathlib import Path
+
+import pytest
+
 import jtvsampling
+from jtvsampling import Graph, SamplingPlan, SpectralSupport
 
 
 def test_star_import_resolves_every_public_name():
@@ -8,3 +14,83 @@ def test_star_import_resolves_every_public_name():
     names = jtvsampling.__all__
     assert len(set(names)) == len(names)
     assert all(namespace[name] is getattr(jtvsampling, name) for name in names)
+
+
+@pytest.mark.parametrize("parsed, canonical", [
+    (Graph(3, [[0, 2, 1.5], [2, 1, 1]]), Graph(3, ((0, 2, 1.5), (2, 1, 1.0)))),
+    (SpectralSupport(4, 4, [[1, 2], [0, 3], [1, 2]]),
+     SpectralSupport(4, 4, frozenset({(1, 2), (0, 3)}))),
+    (SamplingPlan(4, 5, [[0, 4], [3, 1]]), SamplingPlan(4, 5, frozenset({(0, 4), (3, 1)}))),
+])
+def test_json_shaped_input_is_made_canonical(parsed, canonical):
+    # lists of lists, as JSON parses them, need no conversion by the caller;
+    # an unconverted list would make the object unhashable
+    assert parsed == canonical
+    assert hash(parsed) == hash(canonical)
+
+
+class TestOneOwner:
+    """``Graph.__post_init__`` and ``bandlimit._check_index_pairs`` alone make
+    graphs, supports and plans canonical; no caller converts what it passes."""
+
+    CONSTRUCTORS = {"Graph", "SpectralSupport", "SamplingPlan"}
+    WRAPPERS = {"tuple", "frozenset"}
+
+    @staticmethod
+    def _name(func):
+        return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+    @classmethod
+    def violations(cls, source):
+        """Constructor arguments that are a ``tuple(...)`` / ``frozenset(...)``
+        call, a name bound to one, or a call of a module function returning one."""
+        tree = ast.parse(source)
+        bound, returned = {}, {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        bound.setdefault(target.id, []).append(node.value)
+            elif isinstance(node, ast.FunctionDef):
+                returned[node.name] = [r.value for r in ast.walk(node)
+                                       if isinstance(r, ast.Return) and r.value]
+
+        def wraps(expr, seen):
+            if id(expr) in seen:
+                return False
+            seen.add(id(expr))
+            if isinstance(expr, ast.Name):
+                return any(wraps(v, seen) for v in bound.get(expr.id, ()))
+            if not isinstance(expr, ast.Call):
+                return False
+            name = cls._name(expr.func)
+            return name in cls.WRAPPERS or any(wraps(r, seen) for r in returned.get(name, ()))
+
+        return [f"{cls._name(node.func)} on line {node.lineno}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and cls._name(node.func) in cls.CONSTRUCTORS
+                for arg in (*node.args, *(k.value for k in node.keywords))
+                if wraps(arg, set())]
+
+    @pytest.mark.parametrize("module", sorted(
+        Path(jtvsampling.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+    def test_no_caller_converts_constructor_arguments(self, module):
+        assert self.violations(module.read_text()) == []
+
+    @pytest.mark.parametrize("source", [
+        "g = Graph(n, tuple(edges))",
+        "g = graphs.Graph(n, tuple(tuple(e) for e in edges))",
+        "s = SpectralSupport(t_dim=t, g_dim=n, pairs=frozenset(pairs))",
+        "samples = frozenset(picked)\np = SamplingPlan(t, n, samples=samples)",
+        "def parse(text):\n    return frozenset(text)\ns = SpectralSupport(t, n, parse(x))",
+    ])
+    def test_guard_catches_each_breach(self, source):
+        assert len(self.violations(source)) == 1
+
+    @pytest.mark.parametrize("source", [
+        "g = Graph(n, edges)",
+        "p = SamplingPlan(t, n, samples=((a, b) for a in x for b in y))",
+        "s = SpectralSupport(t, n, data['pairs'])\nkeys = frozenset(s.pairs)",
+    ])
+    def test_guard_passes_plain_arguments(self, source):
+        assert self.violations(source) == []

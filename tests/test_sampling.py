@@ -178,17 +178,18 @@ class TestCriticalSamplingSet:
         assert _coverage_first_rows(rows, 2, 3.0) == [0, 3, 2]
 
     def test_known_greedy_miss_on_path_grid(self):
-        # ROADMAP item 6, pinned as it stands: on a 4-path x 4-path grid with
-        # pairs (1,1), (2,2), (3,3), step 3's greedy order reaches rank K on 2
-        # of K_T = 3 time slots, so the plan is qualified and of size K but not
-        # critical, although the oracle finds a critical set. A pick rule or
-        # coverage fix that changes this plan must edit this test.
+        # ROADMAP item 6: on a 4-path x 4-path grid with pairs (1,1), (2,2),
+        # (3,3), step 3's greedy order reaches rank K on 2 of K_T = 3 time
+        # slots, so the plan is qualified and of size K but not critical,
+        # although the oracle finds a critical set. The cells are not pinned:
+        # a tie rule that only moves the plan (item 2) need not edit this test,
+        # a coverage fix that makes the plan critical (item 14) must.
         bt = eig_sym(laplacian(path_graph(4)))
         support = SpectralSupport(t_dim=4, g_dim=4, pairs=frozenset({(1, 1), (2, 2), (3, 3)}))
         basis = JointBasis(*restrict_bases(bt, bt, support), support)
         plan, report = critical_sampling_set(basis.ut_r, basis.ug_r, basis, support)
-        assert plan.sorted_samples == ((0, 0), (0, 3), (1, 1))
-        assert (report.rank, report.n_proj_t, report.n_proj_g) == (3, 2, 3)
+        assert (support.k, support.k_t, support.k_g) == (3, 3, 3)
+        assert (plan.size, report.rank, report.n_proj_t, report.n_proj_g) == (3, 3, 2, 3)
         assert report.qualified and not report.critical
         assert oracle.exhaustive_check(basis.dense(), support).exists_critical_set
 
@@ -679,6 +680,12 @@ class TestSamplingPlanValidation:
     def test_out_of_range_rejected(self, point):
         with pytest.raises(ValueError, match=r"sample \(.*\) out of range for dims \(4, 5\)"):
             SamplingPlan(4, 5, frozenset({point}))
+
+    @pytest.mark.parametrize("dims", [(0, 4), (4, 0), (-1, 3)])
+    def test_non_positive_dims_rejected(self, dims):
+        # used to report the sample (0, 0) out of range
+        with pytest.raises(ValueError, match="sampling plan dimensions must be positive"):
+            SamplingPlan(*dims, frozenset({(0, 0)}))
 
     @pytest.mark.parametrize("dims, point", [
         ((4, 4), (0.9, 1.5)),
