@@ -67,12 +67,11 @@ def _seed(args):
 def _load_restricted(args):
     """The joint basis of the ``--support`` file, held as its restricted bases,
     computed from the two graphs or injected from a basis file, not both."""
+    support = fileio.load_support(args.support)
     if args.basis_file is not None:
         _refuse(args, ("graph_t", "graph_g"), "with --basis-file")
-    support = fileio.load_support(args.support)
-    if args.basis_file:
         ut_r, ug_r = fileio.load_basis_pair(args.basis_file)
-    elif args.graph_t and args.graph_g:
+    elif args.graph_t is not None and args.graph_g is not None:
         ut_r, ug_r = bandlimit.restrict_bases(*_load_bases(args), support)
     else:
         raise ValueError("need --graph-t and --graph-g, or --basis-file")
@@ -138,7 +137,7 @@ def cmd_analyze(args):
         f"K={support.k} K_T={support.k_t} K_G={support.k_g} "
         f"sbl={support.is_sbl()}"
     )
-    if args.out:
+    if args.out is not None:
         fileio.save_support(support, args.out)
         print(f"wrote support to {args.out}")
     return EXIT_OK
@@ -153,7 +152,7 @@ def cmd_plan(args):
         f"vertex {v}: " + " ".join(str(t) for t in ts)
         for v, ts in sorted(plan.schedule().items())
     ]
-    if args.schedule:
+    if args.schedule is not None:
         with open(args.schedule, "w") as fh:
             fh.write("\n".join(lines) + "\n")
     else:
@@ -183,7 +182,7 @@ def cmd_reconstruct(args):
     basis = _load_restricted(args)
     x_rec = sampling.reconstruct(values, plan, basis, basis.support)
     # a bad reference is an input error: refuse it before writing anything
-    x_ref = fileio.load_signal(args.reference) if args.reference else None
+    x_ref = fileio.load_signal(args.reference) if args.reference is not None else None
     if x_ref is not None and x_ref.shape != x_rec.shape:
         raise ValueError("reference signal shape does not match")
     fileio.save_signal(x_rec, args.out)
@@ -224,7 +223,7 @@ def cmd_verify(args):
         out["monotone"] = mono
         if ex.violations or ex.min_qualified_size != support.k or not mono:
             code = EXIT_THEORY
-    if args.out:
+    if args.out is not None:
         fileio._dump_json(out, args.out)
     print(json.dumps(out, sort_keys=True, indent=2))
     return code

@@ -54,14 +54,19 @@ def load_support(path) -> SpectralSupport:
 
 def save_signal(x_mat: np.ndarray, path):
     """N x T signal as CSV, row v = vertex v across time."""
-    np.savetxt(path, np.asarray(x_mat, dtype=float), delimiter=",", fmt="%.17g")
+    # opened here, as load_signal opens it, so a .gz or .bz2 name is no cue to
+    # compress: the file is the CSV that load_signal reads
+    with open(path, "w") as fh:
+        np.savetxt(fh, np.asarray(x_mat, dtype=float), delimiter=",", fmt="%.17g")
 
 
 def load_signal(path) -> np.ndarray:
-    with warnings.catch_warnings():
+    # opened here, not by loadtxt, so a missing file is refused with open's
+    # message, as by every other loader
+    with open(path) as fh, warnings.catch_warnings():
         # numpy warns about an empty file, which is refused below
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        x = np.loadtxt(path, delimiter=",", ndmin=2)
+        x = np.loadtxt(fh, delimiter=",", ndmin=2)
     if not x.size:
         raise ValueError(f"signal file {path} is empty")
     if not np.all(np.isfinite(x)):

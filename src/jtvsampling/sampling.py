@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandlimit import SpectralSupport, _check_index_pairs
-from .spectral import RANK_TOL, JointBasis, _joint
+from .spectral import RANK_TOL, JointBasis, _joint, _max_abs
 
 COND_LIMIT = 1e12
 
@@ -114,7 +114,7 @@ def max_lin_indep_rows(mat: np.ndarray) -> list:
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[1] < 1:
         raise ValueError(f"expected a matrix with at least one column, got {mat.shape}")
-    cut = RANK_TOL * np.max(np.abs(mat), initial=0.0)
+    cut = RANK_TOL * _max_abs(mat)
     norms = np.linalg.norm(mat, axis=1)
     basis = np.empty((mat.shape[1], mat.shape[1]))
     selected = []
@@ -172,7 +172,7 @@ def _factor_rows(ut_r: np.ndarray, ug_r: np.ndarray):
         mat = np.asarray(mat, dtype=float)
         if mat.ndim != 2 or mat.shape[1] < 1:
             raise ValueError(f"expected a matrix with at least one column, got {mat.shape}")
-        sel = sorted(_coverage_first_rows(mat, 1, np.max(np.abs(mat), initial=0.0)))
+        sel = sorted(_coverage_first_rows(mat, 1, _max_abs(mat)))
         if len(sel) != mat.shape[1]:
             raise RankDeficiencyError(
                 f"step 1: {name} basis has rank {len(sel)} < {mat.shape[1]}")

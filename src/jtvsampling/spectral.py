@@ -70,6 +70,16 @@ def restrict_bases(basis_t: EigenBasis, basis_g: EigenBasis, support):
     return ut_r, ug_r
 
 
+def _max_abs(mat: np.ndarray) -> float:
+    """Max |entry| of ``mat`` (0 when empty) from two scans, with no temporary
+    the size of ``mat``; ``ValueError`` on a NaN or infinite entry, which max
+    and min carry through to the result."""
+    top = float(max(mat.max(initial=0.0), -mat.min(initial=0.0)))
+    if not np.isfinite(top):
+        raise ValueError("basis has NaN or infinite entries")
+    return top
+
+
 def _check_joint(uj, support):
     """Float ``uj``; ``ValueError`` unless it is (T*N, K)."""
     uj = np.asarray(uj, dtype=float)
@@ -117,9 +127,10 @@ class JointBasis:
     @property
     def scale(self) -> float:
         """``np.abs(self.dense()).max()`` from the factors' column maxima, bit
-        for bit: |a * b| rounds as |a| * |b|, and rounding is monotone."""
+        for bit: |a * b| rounds as |a| * |b|, and rounding is monotone.
+        ``ValueError`` if a factor holds a NaN or infinite entry."""
         top_t, top_g = np.abs(self.ut_r).max(axis=0), np.abs(self.ug_r).max(axis=0)
-        return float((top_t[self._ti] * top_g[self._gi]).max())
+        return _max_abs(top_t[self._ti] * top_g[self._gi])
 
     def rows(self, idx) -> np.ndarray:
         """Rows at linear indices ``t * N + v``, in the order given; the same
@@ -145,8 +156,7 @@ class _DenseJoint:
 
     @property
     def scale(self) -> float:
-        # max |uj| from two scans, with no temporary the size of uj
-        return float(max(self.uj.max(), -self.uj.min()))
+        return _max_abs(self.uj)
 
     def rows(self, idx) -> np.ndarray:
         return self.uj[idx]

@@ -1,3 +1,5 @@
+import argparse
+import ast
 import dataclasses
 import json
 import os
@@ -781,6 +783,42 @@ class TestMalformedInputs:
         assert code == 2
         assert capsys.readouterr().err == f"error: signal file {signal} is empty\n"
 
+    EMPTY_PATH = {
+        "plan --basis-file": lambda p: ["plan", "--support", p["support"], "--basis-file", "",
+                                        "-o", p["out"]],
+        "plan --graph-t": lambda p: ["plan", "--graph-t", "", "--graph-g", p["gg"],
+                                     "--support", p["support"], "-o", p["out"]],
+        "plan --schedule": lambda p: ["plan", *p["instance"], "--schedule", "", "-o", p["out"]],
+        "reconstruct --reference": lambda p: ["reconstruct", *p["instance"], "--plan", p["plan"],
+                                              "--samples", p["samples"], "--reference", "",
+                                              "-o", p["out"]],
+        "analyze --out": lambda p: ["analyze", "--graph-t", p["gt"], "--graph-g", p["gg"],
+                                    "--signal", p["x"], "--out", ""],
+        "verify --out": lambda p: ["verify", *p["instance"], "--out", ""],
+        "sample --signal": lambda p: ["sample", "--signal", "", "--plan", p["plan"],
+                                      "-o", p["out"]],
+    }
+
+    @pytest.mark.parametrize("name", EMPTY_PATH)
+    def test_empty_path_exit_2(self, workspace, capsys, name):
+        # an empty path is a path, refused like a missing file; it used to count
+        # as no flag (a skipped check or file, exit 0, or a message naming the
+        # flags as missing), and sample --signal "" printed "error:  not found."
+        tmp, paths = workspace
+        instance = ["--graph-t", paths["gt"], "--graph-g", paths["gg"],
+                    "--support", paths["support"]]
+        p = {**paths, "instance": instance, "x": tmp / "x.csv", "plan": tmp / "plan.json",
+             "samples": tmp / "samples.csv", "out": tmp / "out.txt"}
+        assert run("gen", "signal", *instance, "-o", p["x"]) == 0
+        assert run("plan", *instance, "-o", p["plan"]) == 0
+        assert run("sample", "--signal", p["x"], "--plan", p["plan"], "-o", p["samples"]) == 0
+        capsys.readouterr()
+        assert run(*self.EMPTY_PATH[name](p)) == 2
+        assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
+        # the plan is written before its schedule, as for a schedule path in a
+        # missing directory; no other command writes its output
+        assert p["out"].exists() == (name == "plan --schedule")
+
 
 class TestDenseFree:
     """``jtv`` holds the joint basis as its factors; only the oracle and the
@@ -928,6 +966,68 @@ class TestDispatch:
         assert (er["seed"], er["p"], cycle["seed"], cycle["p"]) == (5, 0.3, None, None)
         assert (verify["exhaustive"], verify["trials"]) == (False, None)
         assert "seed" not in analyze and "support" not in analyze
+
+
+class TestOneFlagRule:
+    """``is not None`` alone tells whether an optional string flag was given,
+    so an empty path is a path: ``cli`` reads no such flag as a truth value."""
+
+    @staticmethod
+    def string_flags():
+        """Dests of the leaf parsers' optional flags that take a string: no
+        ``type``, not ``store_true``, default ``None``."""
+        dests, parsers = set(), [cli.build_parser()]
+        while parsers:
+            for action in parsers.pop()._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    parsers.extend(action.choices.values())
+                elif (isinstance(action, argparse._StoreAction) and not action.required
+                      and action.type is None and action.default is None):
+                    dests.add(action.dest)
+        return dests
+
+    @staticmethod
+    def violations(source, dests):
+        """``args.<dest>`` as the test of an ``if`` or a conditional expression,
+        the operand of ``not`` or an operand of ``and`` / ``or``, by line."""
+        tested = []
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.If, ast.IfExp)):
+                tested.append(node.test)
+            elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+                tested.append(node.operand)
+            elif isinstance(node, ast.BoolOp):
+                tested.extend(node.values)
+        return sorted((e.lineno, f"args.{e.attr}") for e in tested
+                      if isinstance(e, ast.Attribute) and isinstance(e.value, ast.Name)
+                      and e.value.id == "args" and e.attr in dests)
+
+    def test_string_flags(self):
+        # store_true, typed and defaulted flags are read by value, not by presence
+        assert self.string_flags() == {"basis_file", "graph_g", "graph_t", "out", "pairs",
+                                       "reference", "schedule", "support"}
+
+    def test_cli_reads_no_string_flag_as_a_truth_value(self):
+        assert self.violations(Path(cli.__file__).read_text(), self.string_flags()) == []
+
+    @pytest.mark.parametrize("source", [
+        "if args.out:\n    pass",
+        "x = load(args.reference) if args.reference else None",
+        "given = not args.schedule",
+        "both = args.graph_t and args.graph_g is not None",
+        "either = args.basis_file is not None or args.support",
+    ])
+    def test_guard_catches_each_breach(self, source):
+        assert len(self.violations(source, self.string_flags())) == 1
+
+    @pytest.mark.parametrize("source", [
+        "if args.out is not None:\n    pass",
+        "x = load(args.reference) if args.reference is not None else None",
+        "if not args.exhaustive and args.trials is not None:\n    pass",
+        "if args.type == 'er' or args.pairs is None:\n    pass",
+    ])
+    def test_guard_passes_presence_tests(self, source):
+        assert self.violations(source, self.string_flags()) == []
 
 
 class TestVerify:

@@ -47,6 +47,15 @@ def test_signal_round_trip(tmp_path, ref):
     assert np.array_equal(fileio.load_signal(path), ref.x)
 
 
+def test_signal_is_plain_csv_under_any_name(tmp_path, ref):
+    # both ends open the file themselves; a writer that compressed by suffix,
+    # as np.savetxt does, would write a file the loader cannot read
+    path = tmp_path / "x.csv.gz"
+    fileio.save_signal(ref.x, path)
+    assert path.read_text().startswith(f"{ref.x[0, 0]:.17g},")
+    assert np.array_equal(fileio.load_signal(path), ref.x)
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_signal_non_finite_rejected(tmp_path, bad):
     path = tmp_path / "x.csv"

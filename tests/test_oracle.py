@@ -401,7 +401,7 @@ class TestExhaustiveCheck:
         # T*N = 20, K = 10 is the worst case: with every stacked matrix ranked
         # at its row count, all C(20, 10) = 184,756 K-sets qualify and every
         # report field is computed over all of them. Measured: a traced peak
-        # of 9.7 MB with the uint8 table; an intp table alone is 14.8 MB.
+        # of 8.5 MB with the uint8 table; an intp table alone is 14.8 MB.
         support = SpectralSupport(t_dim=4, g_dim=5, pairs=frozenset(
             (jt, jg) for jt in range(3) for jg in range(4) if (jt, jg) not in {(2, 2), (2, 3)}))
         uj = np.random.default_rng(20).normal(size=(20, 10))

@@ -400,6 +400,35 @@ def test_joint_basis_must_be_tn_by_k(ref, use, bad):
         use(plan, wrong_shape_joint(ref, bad), ref.support)
 
 
+def with_nan(mat):
+    """A float copy of ``mat`` with a NaN first entry."""
+    mat = np.array(mat, dtype=float)
+    mat.flat[0] = np.nan
+    return mat
+
+
+@pytest.mark.parametrize("call", [
+    lambda r, plan, uj: qualify(plan, with_nan(uj), r.support),
+    lambda r, plan, uj: qualify(plan, JointBasis(with_nan(r.ut_r), r.ug_r, r.support),
+                                r.support),
+    lambda r, plan, uj: reconstruct(r.sample_values, plan, with_nan(uj), r.support),
+    lambda r, plan, uj: critical_sampling_set(r.ut_r, r.ug_r, np.full_like(uj, np.inf),
+                                              r.support),
+    lambda r, plan, uj: separate_sampling(r.ut_r, with_nan(r.ug_r)),
+    lambda r, plan, uj: max_lin_indep_rows(with_nan(uj)),
+], ids=["qualify", "qualify JointBasis", "reconstruct", "critical_sampling_set inf",
+        "separate_sampling", "max_lin_indep_rows"])
+def test_non_finite_basis_is_an_input_error(ref, call):
+    # refused where the basis's scale is taken; a NaN scale used to rank every
+    # block 0 (qualify's rank 0, reconstruct's UnqualifiedPlanError, step 1's
+    # RankDeficiencyError, no rows from the naive scan), and an all-inf uj made
+    # LAPACK print an illegal-value message before the plan's rank-0 report
+    plan = SamplingPlan(4, 4, frozenset({(0, 0), (1, 0), (1, 2)}))
+    uj = joint_columns_from_restricted(ref.ut_r, ref.ug_r, ref.support)
+    with pytest.raises(ValueError, match="^basis has NaN or infinite entries$"):
+        call(ref, plan, uj)
+
+
 class TestJointBasisInput:
     """Every entry point gives the same result from a :class:`JointBasis` as
     from the dense joint basis it stands for."""
