@@ -13,20 +13,24 @@ def _check_index_pairs(obj, attr, kind, item, noun):
     """Store the dims and index pairs ``attr`` of frozen ``obj`` as ints, the
     pairs as a frozenset: the one place a ``kind`` ("support", ...) is made
     canonical, from any iterables such as parsed JSON lists. ``ValueError`` on
-    a non-integral dim or index, on a dim below 1, on no pairs (no ``noun``)
-    and on an ``item`` outside [0, T) x [0, N)."""
+    a non-integral dim or index, on a dim below 1, on no pairs (no ``noun``),
+    and on an ``item`` outside [0, T) x [0, N) or given twice, the first such
+    ``item`` in listed order."""
     t_dim, g_dim = (_as_index(d, "dimension") for d in (obj.t_dim, obj.g_dim))
     if min(t_dim, g_dim) < 1:
         raise ValueError(f"{kind} dimensions must be positive")
     what = f"{item} index"
-    pairs = frozenset((_as_index(a, what), _as_index(b, what))
-                      for a, b in getattr(obj, attr))
-    if not pairs:
-        raise ValueError(f"{kind} must contain at least one {noun}")
-    for a, b in pairs:
+    pairs = set()
+    for a, b in getattr(obj, attr):
+        a, b = _as_index(a, what), _as_index(b, what)
         if not (0 <= a < t_dim and 0 <= b < g_dim):
             raise ValueError(f"{item} ({a}, {b}) out of range for dims ({t_dim}, {g_dim})")
-    for name, value in (("t_dim", t_dim), ("g_dim", g_dim), (attr, pairs)):
+        if (a, b) in pairs:
+            raise ValueError(f"{item} ({a}, {b}) is given twice")
+        pairs.add((a, b))
+    if not pairs:
+        raise ValueError(f"{kind} must contain at least one {noun}")
+    for name, value in (("t_dim", t_dim), ("g_dim", g_dim), (attr, frozenset(pairs))):
         object.__setattr__(obj, name, value)
 
 

@@ -5,6 +5,7 @@ plan, rank deficiency, reconstruction failure).
 """
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -23,20 +24,15 @@ EXIT_THEORY = 3
 
 
 def _parse_pairs(text):
-    pairs = set()
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    """The ``jt,jg`` pairs of ``--pairs`` in listed order, blank chunks skipped;
+    ``SpectralSupport`` refuses no pairs and a repeated one."""
+    pairs = []
+    for chunk in filter(None, map(str.strip, text.split(";"))):
         try:
             jt, jg = map(int, chunk.split(","))
         except ValueError:  # not two values, or not integers
             raise ValueError(f"pair {chunk!r} is not of the form jt,jg") from None
-        if (jt, jg) in pairs:
-            raise ValueError(f"pair {chunk!r} is given twice")
-        pairs.add((jt, jg))
-    if not pairs:
-        raise ValueError("no pairs given")
+        pairs.append((jt, jg))
     return pairs
 
 
@@ -147,17 +143,12 @@ def cmd_plan(args):
     basis = _load_restricted(args)
     plan, report = sampling.critical_sampling_set(basis.ut_r, basis.ug_r, basis,
                                                   basis.support)
-    fileio.save_plan(plan, report, args.out)
-    lines = [
-        f"vertex {v}: " + " ".join(str(t) for t in ts)
-        for v, ts in sorted(plan.schedule().items())
-    ]
-    if args.schedule is not None:
-        with open(args.schedule, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    else:
-        for line in lines:
-            print(line)
+    # the schedule is opened first, so a path it cannot open leaves no plan file
+    with (open(args.schedule, "w") if args.schedule is not None
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fileio.save_plan(plan, report, args.out)
+        fh.write("".join(f"vertex {v}: " + " ".join(map(str, ts)) + "\n"
+                         for v, ts in sorted(plan.schedule().items())))
     print(
         f"wrote plan |S|={plan.size} |S_T|={len(plan.proj_t)} "
         f"|S_G|={len(plan.proj_g)} critical={report.critical} to {args.out}"

@@ -10,9 +10,8 @@ MAX_ATTEMPTS = 1000
 
 def random_connected_graph(n: int, rng: np.random.Generator, p: float = 0.5) -> Graph:
     """Erdos-Renyi graph with uniform weights in [0.5, 1.5], rejection-sampled
-    until connected; ``RuntimeError`` after ``MAX_ATTEMPTS`` draws."""
-    if n < 1:
-        raise ValueError(f"vertex count must be positive, got {n}")
+    until connected; ``RuntimeError`` after ``MAX_ATTEMPTS`` draws. ``Graph``
+    refuses an ``n`` below 1 before the first draw."""
     if not 0 < p <= 1:  # also refuses nan
         raise ValueError(f"edge probability must be in (0, 1], got {p}")
     for _ in range(MAX_ATTEMPTS):

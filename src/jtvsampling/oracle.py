@@ -63,8 +63,6 @@ def elimination_rank(mat: np.ndarray, scale: float = None):
         flat = a.reshape(cols, rows * count)
         which = np.arange(count)
         for col in range(cols):
-            if (rank == rows).all():
-                break
             mag = np.abs(a[col])
             # flat index of each matrix's pivot within a (rows, count) slab
             at = mag.argmax(axis=0) * count + which

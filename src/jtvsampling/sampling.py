@@ -103,6 +103,15 @@ def _residual(row: np.ndarray, q: np.ndarray) -> np.ndarray:
     return resid - q.T @ (q @ resid)  # reorthogonalize for stability
 
 
+def _as_matrix(mat) -> np.ndarray:
+    """``mat`` as a float array; ``ValueError`` unless it is a matrix with at
+    least one column."""
+    mat = np.asarray(mat, dtype=float)
+    if mat.ndim != 2 or mat.shape[1] < 1:
+        raise ValueError(f"expected a matrix with at least one column, got {mat.shape}")
+    return mat
+
+
 def max_lin_indep_rows(mat: np.ndarray) -> list:
     """Naive reference scan: a maximal independent row set, lowest index first.
 
@@ -111,9 +120,7 @@ def max_lin_indep_rows(mat: np.ndarray) -> list:
     planner's and :func:`qualify`'s cut; zero rows are always rejected. The scan
     covers every row, so the result is maximal and deterministic.
     """
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[1] < 1:
-        raise ValueError(f"expected a matrix with at least one column, got {mat.shape}")
+    mat = _as_matrix(mat)
     cut = RANK_TOL * _max_abs(mat)
     norms = np.linalg.norm(mat, axis=1)
     basis = np.empty((mat.shape[1], mat.shape[1]))
@@ -169,9 +176,7 @@ def _factor_rows(ut_r: np.ndarray, ug_r: np.ndarray):
     each restricted basis; :class:`RankDeficiencyError` if either falls short."""
     picks = []
     for name, mat in (("time", ut_r), ("graph", ug_r)):
-        mat = np.asarray(mat, dtype=float)
-        if mat.ndim != 2 or mat.shape[1] < 1:
-            raise ValueError(f"expected a matrix with at least one column, got {mat.shape}")
+        mat = _as_matrix(mat)
         sel = sorted(_coverage_first_rows(mat, 1, _max_abs(mat)))
         if len(sel) != mat.shape[1]:
             raise RankDeficiencyError(

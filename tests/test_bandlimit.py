@@ -36,6 +36,17 @@ class TestSpectralSupport:
         with pytest.raises(ValueError, match="dimensions must be positive"):
             SpectralSupport(t_dim=dims[0], g_dim=dims[1], pairs=frozenset({(0, 0)}))
 
+    @pytest.mark.parametrize("pairs, repeat", [
+        ([[1, 2], [0, 3], [1, 2]], (1, 2)),
+        ([(1, 2), (1.0, np.int64(2))], (1, 2)),
+        ([(0, 0), (3, 3), (0, 0), (3, 3)], (0, 0)),
+    ])
+    def test_repeated_pair_rejected(self, pairs, repeat):
+        # a repeated pair used to be merged into one: K = 2, not 3, for the first
+        with pytest.raises(ValueError) as exc:
+            SpectralSupport(t_dim=4, g_dim=4, pairs=pairs)
+        assert str(exc.value) == f"pair {repeat} is given twice"
+
     @pytest.mark.parametrize("dims, pairs", [
         ((4, 4), {(0.9, 1.5)}),
         ((4, 4), {(1, 2.5)}),

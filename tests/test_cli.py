@@ -123,9 +123,9 @@ class TestGen:
         ("1,2,3", "pair '1,2,3' is not of the form jt,jg"),
         ("1", "pair '1' is not of the form jt,jg"),
         ("0,0;a,1", "pair 'a,1' is not of the form jt,jg"),
-        (";", "no pairs given"),
-        ("", "no pairs given"),
-        ("1,1; 2,2 ;2,2", "pair '2,2' is given twice"),
+        (";", "support must contain at least one frequency pair"),
+        ("", "support must contain at least one frequency pair"),
+        ("1,1; 2,2 ;2,2", "pair (2, 2) is given twice"),
     ])
     def test_malformed_pairs_exit_2(self, tmp_path, capsys, pairs, message):
         # "1,2,3" used to print "too many values to unpack (expected 2)",
@@ -730,6 +730,42 @@ class TestMalformedInputs:
         assert "must be an integer, got 1.5" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_support_pair_exit_2(self, workspace, capsys):
+        # the repeat used to be merged: a plan for K = 2, not 3, and exit 0
+        tmp, paths = workspace
+        paths["support"].write_text(json.dumps({"T": 4, "N": 4,
+                                                 "pairs": [[1, 1], [2, 2], [1, 1]]}))
+        out = tmp / "plan.json"
+        code = run("plan", "--graph-t", paths["gt"], "--graph-g", paths["gg"],
+                   "--support", paths["support"], "-o", out)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: malformed support file {paths['support']}: pair (1, 1) is given twice\n")
+        assert not out.exists()
+
+    def test_repeated_plan_sample_exit_2(self, workspace, ref, capsys):
+        # the repeat used to be merged: two samples written, not three, and exit 0
+        tmp, _ = workspace
+        signal, plan = tmp / "x.csv", tmp / "plan.json"
+        fileio.save_signal(ref.x, signal)
+        plan.write_text(json.dumps({"T": 4, "N": 4, "samples": [[0, 0], [1, 2], [0, 0]]}))
+        out = tmp / "samples.csv"
+        assert run("sample", "--signal", signal, "--plan", plan, "-o", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: malformed plan file {plan}: sample (0, 0) is given twice\n")
+        assert not out.exists()
+
+    def test_schedule_in_missing_directory_leaves_no_plan(self, workspace, capsys):
+        # the plan used to be written before its schedule was opened
+        tmp, paths = workspace
+        out, schedule = tmp / "plan.json", tmp / "missing" / "s.txt"
+        code = run("plan", "--graph-t", paths["gt"], "--graph-g", paths["gg"],
+                   "--support", paths["support"], "--schedule", schedule, "-o", out)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{schedule}'\n")
+        assert not out.exists()
+
     def test_non_integral_vertex_count_exit_2(self, workspace, capsys):
         tmp, paths = workspace
         data = json.loads(paths["gg"].read_text())
@@ -815,9 +851,8 @@ class TestMalformedInputs:
         capsys.readouterr()
         assert run(*self.EMPTY_PATH[name](p)) == 2
         assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
-        # the plan is written before its schedule, as for a schedule path in a
-        # missing directory; no other command writes its output
-        assert p["out"].exists() == (name == "plan --schedule")
+        # no command writes its output: plan opens its schedule before the plan
+        assert not p["out"].exists()
 
 
 class TestDenseFree:

@@ -18,7 +18,7 @@ def test_star_import_resolves_every_public_name():
 
 @pytest.mark.parametrize("parsed, canonical", [
     (Graph(3, [[0, 2, 1.5], [2, 1, 1]]), Graph(3, ((0, 2, 1.5), (2, 1, 1.0)))),
-    (SpectralSupport(4, 4, [[1, 2], [0, 3], [1, 2]]),
+    (SpectralSupport(4, 4, [[1, 2], [0, 3]]),
      SpectralSupport(4, 4, frozenset({(1, 2), (0, 3)}))),
     (SamplingPlan(4, 5, [[0, 4], [3, 1]]), SamplingPlan(4, 5, frozenset({(0, 4), (3, 1)}))),
 ])
@@ -94,3 +94,49 @@ class TestOneOwner:
     ])
     def test_guard_passes_plain_arguments(self, source):
         assert self.violations(source) == []
+
+
+class TestOneRaiseSite:
+    """Each refusal message is raised from one place: no two ``raise X("...")``
+    sites under ``src/jtvsampling`` share a message template."""
+
+    @staticmethod
+    def templates(source):
+        """(template, line) of each ``raise X("...")`` / ``raise X(f"...")``,
+        every f-string placeholder written as ``{}``."""
+        found = []
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+                msg = node.exc.args[0]
+                if isinstance(msg, ast.JoinedStr):
+                    found.append(("".join(v.value if isinstance(v, ast.Constant) else "{}"
+                                          for v in msg.values), node.lineno))
+                elif isinstance(msg, ast.Constant) and isinstance(msg.value, str):
+                    found.append((msg.value, node.lineno))
+        return found
+
+    @classmethod
+    def shared(cls, sources):
+        """The ``file:line`` sites of every template raised from more than one
+        place, over ``sources``, a dict of file name to source."""
+        sites = {}
+        for name, source in sources.items():
+            for template, line in cls.templates(source):
+                sites.setdefault(template, []).append(f"{name}:{line}")
+        return sorted(where for where in sites.values() if len(where) > 1)
+
+    def test_no_message_is_raised_from_two_places(self):
+        package = Path(jtvsampling.__file__).parent
+        assert self.shared({p.name: p.read_text() for p in sorted(package.glob("*.py"))}) == []
+
+    def test_guard_catches_a_breach(self):
+        source = ('def f(n):\n    raise ValueError(f"bad count {n}")\n'
+                  'def g(m):\n    raise RuntimeError(f"bad count {m + 1!r}")\n')
+        assert self.shared({"a.py": source, "b.py": 'raise ValueError("bad count {}")'}) == [
+            ["a.py:2", "a.py:4", "b.py:1"]]
+
+    def test_guard_passes_a_clean_source(self):
+        source = ('def f(n):\n    raise ValueError(f"bad count {n}")\n'
+                  'def g(m):\n    raise ValueError(f"bad size {m}")\n'
+                  'def h(exc):\n    raise ValueError(exc) from exc\n')
+        assert self.shared({"a.py": source}) == []

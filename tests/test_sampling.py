@@ -710,6 +710,16 @@ class TestSamplingPlanValidation:
         with pytest.raises(ValueError, match=r"sample \(.*\) out of range for dims \(4, 5\)"):
             SamplingPlan(4, 5, frozenset({point}))
 
+    @pytest.mark.parametrize("samples, repeat", [
+        ([[0, 4], [3, 1], [0, 4]], (0, 4)),
+        ([(2, 1), (2.0, np.int32(1))], (2, 1)),
+    ])
+    def test_repeated_sample_rejected(self, samples, repeat):
+        # a repeated sample used to be merged into one
+        with pytest.raises(ValueError) as exc:
+            SamplingPlan(4, 5, samples)
+        assert str(exc.value) == f"sample {repeat} is given twice"
+
     @pytest.mark.parametrize("dims", [(0, 4), (4, 0), (-1, 3)])
     def test_non_positive_dims_rejected(self, dims):
         # used to report the sample (0, 0) out of range
