@@ -139,14 +139,35 @@ def cmd_analyze(args):
     return EXIT_OK
 
 
+def _claim(*paths):
+    """Open each path for appending, which truncates nothing, and close it
+    again: the first path that cannot be written raises its ``OSError``
+    before any is written, and the files made here for the paths before it
+    are removed."""
+    made = []
+    try:
+        for path in paths:
+            existed = os.path.lexists(path)
+            open(path, "a").close()
+            if not existed:
+                made.append(path)
+    except OSError:
+        for path in made:
+            os.remove(path)
+        raise
+
+
 def cmd_plan(args):
     basis = _load_restricted(args)
     plan, report = sampling.critical_sampling_set(basis.ut_r, basis.ug_r, basis,
                                                   basis.support)
-    # the schedule is opened first, so a path it cannot open leaves no plan file
+    # both paths are claimed first, so one that cannot be written leaves the
+    # other as it was
+    if args.schedule is not None:
+        _claim(args.schedule, args.out)
+    fileio.save_plan(plan, report, args.out)
     with (open(args.schedule, "w") if args.schedule is not None
           else contextlib.nullcontext(sys.stdout)) as fh:
-        fileio.save_plan(plan, report, args.out)
         fh.write("".join(f"vertex {v}: " + " ".join(map(str, ts)) + "\n"
                          for v, ts in sorted(plan.schedule().items())))
     print(

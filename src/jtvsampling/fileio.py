@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 
 from .bandlimit import SpectralSupport
-from .graphs import Graph, _as_index
+from .graphs import Graph, _as_index, _as_real
 from .sampling import QualificationReport, SamplingPlan
 
 
@@ -151,10 +151,18 @@ def save_basis_pair(ut_r: np.ndarray, ug_r: np.ndarray, path):
     )
 
 
+def _entries(value):
+    """``value`` with every entry of its nested lists through ``_as_real``, so
+    a bool or a string entry is refused, not converted."""
+    if isinstance(value, list):
+        return [_entries(v) for v in value]
+    return _as_real(value, "basis entry")
+
+
 def load_basis_pair(path):
     ut_r, ug_r = _load_json(path, "basis", lambda data: (
-        np.array(data["U_T"], dtype=float),
-        np.array(data["U_G"], dtype=float),
+        np.array(_entries(data["U_T"]), dtype=float),
+        np.array(_entries(data["U_G"]), dtype=float),
     ))
     if ut_r.ndim != 2 or ug_r.ndim != 2:
         raise ValueError(f"basis file {path} must hold two matrices")

@@ -23,12 +23,21 @@ def _as_index(value, what):
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def _as_real(value, what):
+    """``value`` as a float; a bool or a string, which ``float()`` would
+    convert, is a ``ValueError``."""
+    if isinstance(value, (bool, np.bool_, str)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected weighted graph without self-loops or duplicate edges.
 
     ``edges`` is any iterable of (i, j, w) triples, such as parsed JSON lists;
-    it is stored as a tuple of (int, int, float) tuples.
+    it is stored as a tuple of (int, int, float) tuples. A weight must be a
+    number: a bool or a string is refused, not converted.
     """
 
     n: int
@@ -41,7 +50,8 @@ class Graph:
         norm = []
         seen = set()
         for i, j, w in self.edges:
-            i, j, w = _as_index(i, "edge endpoint"), _as_index(j, "edge endpoint"), float(w)
+            i, j = _as_index(i, "edge endpoint"), _as_index(j, "edge endpoint")
+            w = _as_real(w, "edge weight")
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
             if i == j:

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 
+import families
 from jtvsampling import (
     SpectralSupport,
     cartesian_laplacian,
@@ -18,12 +19,10 @@ from jtvsampling import (
     eig_sym,
     exhaustive_check,
     jft,
-    joint_basis_columns,
     joint_columns_from_restricted,
     laplacian,
     max_lin_indep_rows,
     reconstruct,
-    restrict_bases,
     sample,
     separate_sampling,
     synth_from_restricted,
@@ -39,17 +38,6 @@ from jtvsampling.generate import (
 def _verdict(num, label, ok, detail):
     print(f"criterion {num:2d} {'PASS' if ok else 'FAIL'}: {label} -- {detail}")
     assert ok, f"criterion {num} ({label}): {detail}"
-
-
-def _random_instance(rng, t_max, g_max, **support_kwargs):
-    t_dim = int(rng.integers(3, t_max + 1))
-    g_dim = int(rng.integers(2, g_max + 1))
-    basis_t = eig_sym(laplacian(cycle_graph(t_dim)))
-    basis_g = eig_sym(laplacian(random_connected_graph(g_dim, rng)))
-    support = random_support(t_dim, g_dim, rng, **support_kwargs)
-    ut_r, ug_r = restrict_bases(basis_t, basis_g, support)
-    uj = joint_basis_columns(basis_t, basis_g, support)
-    return basis_t, basis_g, support, ut_r, ug_r, uj
 
 
 def test_01_reference_pipeline_replay(ref):
@@ -132,9 +120,7 @@ def test_04_exhaustive_bound_audit(ref):
     start = time.perf_counter()
     uj = joint_columns_from_restricted(ref.ut_r, ref.ug_r, ref.support)
     reports = [(ref.support, exhaustive_check(uj, ref.support))]
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        _, _, support, _, _, uj = _random_instance(rng, 4, 4)
+    for _, _, support, _, _, uj in families.random_instances(0, 50, 4, 4):
         reports.append((support, exhaustive_check(uj, support)))
     elapsed = time.perf_counter() - start
     n_violations = sum(len(r.violations) for _, r in reports)
@@ -155,7 +141,7 @@ def test_05_constructed_plans_always_critical():
     non_critical = 0
     worst_err = 0.0
     for _ in range(500):
-        _, _, support, ut_r, ug_r, uj = _random_instance(rng, 8, 8)
+        _, _, support, ut_r, ug_r, uj = families.random_instance(rng, 8, 8)
         plan, report = critical_sampling_set(ut_r, ug_r, uj, support)
         if not (report.rank == support.k and plan.size == support.k
                 and len(plan.proj_t) == support.k_t
@@ -218,11 +204,8 @@ def test_08_separate_sampling_comparison(ref):
         k = int(rng.integers(max(k_t, k_g), k_t * k_g))  # strict subset
         t_dim = int(rng.integers(k_t + 1, 9))
         g_dim = int(rng.integers(k_g + 1, 9))
-        basis_t = eig_sym(laplacian(cycle_graph(t_dim)))
-        basis_g = eig_sym(laplacian(random_connected_graph(g_dim, rng)))
-        support = random_support(t_dim, g_dim, rng, k_t=k_t, k_g=k_g, k=k)
-        ut_r, ug_r = restrict_bases(basis_t, basis_g, support)
-        uj = joint_basis_columns(basis_t, basis_g, support)
+        _, _, support, ut_r, ug_r, uj = families.instance(t_dim, g_dim, rng,
+                                                          k_t=k_t, k_g=k_g, k=k)
         plan, _ = critical_sampling_set(ut_r, ug_r, uj, support)
         baseline = separate_sampling(ut_r, ug_r)
         strict_ok = strict_ok and plan.size == k < baseline.size

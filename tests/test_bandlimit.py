@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import families
 from jtvsampling import (
     SpectralSupport,
     cycle_graph,
@@ -12,7 +13,7 @@ from jtvsampling import (
     synth_from_restricted,
     synth_signal,
 )
-from jtvsampling.generate import random_coeffs, random_connected_graph, random_support
+from jtvsampling.generate import random_coeffs, random_support
 
 
 class TestSpectralSupport:
@@ -197,9 +198,7 @@ class TestSynth:
         assert np.max(np.abs(x - ref.x)) < 1e-3
 
     def test_single_pair_outer_product(self):
-        rng = np.random.default_rng(1)
-        bt = eig_sym(laplacian(cycle_graph(4)))
-        bg = eig_sym(laplacian(random_connected_graph(3, rng)))
+        bt, bg = families.basis_pair(4, 3, np.random.default_rng(1))
         support = SpectralSupport(t_dim=4, g_dim=3, pairs=frozenset({(2, 1)}))
         x = synth_signal(bt, bg, support, {(2, 1): 1.0})
         outer = np.outer(bg.vectors[:, 1], bt.vectors[:, 2])
@@ -236,8 +235,7 @@ class TestSynth:
     def test_matches_coefficient_grid_product(self):
         # X = U_G C U_T^T with C the K_G x K_T grid of the coefficients
         rng = np.random.default_rng(7)
-        bt = eig_sym(laplacian(cycle_graph(6)))
-        bg = eig_sym(laplacian(random_connected_graph(5, rng)))
+        bt, bg = families.basis_pair(6, 5, rng)
         for _ in range(50):
             support = random_support(6, 5, rng)
             coeffs = random_coeffs(support, rng)
@@ -250,8 +248,7 @@ class TestSynth:
 
     def test_synth_detect_round_trip(self):
         rng = np.random.default_rng(123)
-        bt = eig_sym(laplacian(cycle_graph(5)))
-        bg = eig_sym(laplacian(random_connected_graph(5, rng)))
+        bt, bg = families.basis_pair(5, 5, rng)
         for _ in range(100):
             support = random_support(5, 5, rng)
             coeffs = random_coeffs(support, rng)

@@ -766,6 +766,22 @@ class TestMalformedInputs:
             f"error: [Errno 2] No such file or directory: '{schedule}'\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("before", [None, "kept\n"], ids=["new", "existing"])
+    def test_plan_in_missing_directory_leaves_schedule_as_it_was(self, workspace, capsys,
+                                                                  before):
+        # the schedule used to be opened, and so made or emptied, before the
+        # plan file failed
+        tmp, paths = workspace
+        out, schedule = tmp / "missing" / "plan.json", tmp / "s.txt"
+        if before is not None:
+            schedule.write_text(before)
+        code = run("plan", "--graph-t", paths["gt"], "--graph-g", paths["gg"],
+                   "--support", paths["support"], "--schedule", schedule, "-o", out)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{out}'\n")
+        assert (schedule.read_text() if schedule.exists() else None) == before
+
     def test_non_integral_vertex_count_exit_2(self, workspace, capsys):
         tmp, paths = workspace
         data = json.loads(paths["gg"].read_text())
@@ -851,7 +867,7 @@ class TestMalformedInputs:
         capsys.readouterr()
         assert run(*self.EMPTY_PATH[name](p)) == 2
         assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
-        # no command writes its output: plan opens its schedule before the plan
+        # no command writes its output: plan claims its schedule before the plan
         assert not p["out"].exists()
 
 

@@ -228,6 +228,12 @@ def test_non_integral_indices_rejected(tmp_path, kind, data):
     ("graph", {"n": 4, "edges": [[0, 1]]}, "not enough values to unpack"),
     ("graph", {"n": 4, "edges": [[0, 0, 1.0]]}, "self-loop at vertex 0 not allowed"),
     ("basis", {"U_T": [[1.0], [1.0, 0.0]], "U_G": [[1.0]]}, "inhomogeneous shape"),
+    # float() used to read these as the weight 1.5 or 1.0 and the entry 0.5 or 1.0
+    ("graph", {"n": 4, "edges": [[0, 1, "1.5"]]}, "edge weight must be a number, got '1.5'"),
+    ("graph", {"n": 4, "edges": [[0, 1, True]]}, "edge weight must be a number, got True"),
+    ("basis", {"U_T": [[1.0, "0.5"]], "U_G": [[1.0]]},
+     "basis entry must be a number, got '0.5'"),
+    ("basis", {"U_T": [[1.0]], "U_G": [[True]]}, "basis entry must be a number, got True"),
 ])
 def test_value_errors_name_the_file(tmp_path, kind, data, reason):
     # these used to report only the reason, without the file

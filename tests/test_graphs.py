@@ -40,6 +40,12 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match="non-finite"):
             Graph(2, ((0, 1, w),))
 
+    @pytest.mark.parametrize("w", ["1.5", True, np.bool_(True)])
+    def test_non_numeric_weight_rejected(self, w):
+        # float() used to read these as the weights 1.5 and 1.0
+        with pytest.raises(ValueError, match="^edge weight must be a number, got "):
+            Graph(2, ((0, 1, w),))
+
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
             Graph(2, ((0, 0, 1.0),))

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import families
 from jtvsampling import (
     ExhaustiveReport,
     SpectralSupport,
@@ -20,8 +21,6 @@ from jtvsampling import (
     joint_columns_from_restricted,
     laplacian,
     path_graph,
-    restrict_bases,
-    star_graph,
 )
 from jtvsampling.generate import random_connected_graph, random_support
 from jtvsampling import oracle
@@ -199,9 +198,7 @@ class TestExhaustiveCheck:
         assert not report.violations
 
     def test_single_pair_support(self):
-        rng = np.random.default_rng(3)
-        bt = eig_sym(laplacian(cycle_graph(3)))
-        bg = eig_sym(laplacian(random_connected_graph(3, rng)))
+        bt, bg = families.basis_pair(3, 3, np.random.default_rng(3))
         support = SpectralSupport(t_dim=3, g_dim=3, pairs=frozenset({(1, 1)}))
         uj = joint_basis_columns(bt, bg, support)
         report = exhaustive_check(uj, support)
@@ -213,10 +210,7 @@ class TestExhaustiveCheck:
     def test_random_instances_structural_bounds(self):
         rng = np.random.default_rng(77)
         for _ in range(10):
-            bt = eig_sym(laplacian(cycle_graph(4)))
-            bg = eig_sym(laplacian(random_connected_graph(4, rng)))
-            support = random_support(4, 4, rng)
-            uj = joint_basis_columns(bt, bg, support)
+            _, _, support, _, _, uj = families.instance(4, 4, rng)
             report = exhaustive_check(uj, support)
             assert report.min_qualified_size == support.k
             assert report.exists_critical_set
@@ -237,9 +231,7 @@ class TestExhaustiveCheck:
         # independent equations for the two coefficients, so a qualified set
         # with |S_T| = 1 < K_T = 2 exists and the enumeration must find it.
         # It breaks no necessary bound: both projection floors are 1.
-        rng = np.random.default_rng(3)
-        bt = eig_sym(laplacian(cycle_graph(3)))
-        bg = eig_sym(laplacian(random_connected_graph(3, rng)))
+        bt, bg = families.basis_pair(3, 3, np.random.default_rng(3))
         support = SpectralSupport(t_dim=3, g_dim=3, pairs=frozenset({(0, 0), (1, 2)}))
         uj = joint_basis_columns(bt, bg, support)
         report = exhaustive_check(uj, support)
@@ -287,14 +279,12 @@ class TestExhaustiveCheck:
         # elimination each, must equal the blocked enumeration field by field,
         # whatever the number of subsets ranked per call.
         rng = np.random.default_rng(90)
-        bt = eig_sym(laplacian(cycle_graph(3)))
         for support in [
             random_support(3, 4, rng, k_t=2, k_g=2, k=4),
             random_support(3, 4, rng, k_t=2, k_g=3, k=4),
             SpectralSupport(t_dim=3, g_dim=4, pairs=frozenset({(0, 0), (1, 3)})),
         ]:
-            bg = eig_sym(laplacian(random_connected_graph(4, rng)))
-            uj = joint_basis_columns(bt, bg, support)
+            uj = joint_basis_columns(*families.basis_pair(3, 4, rng), support)
             expected = self.reference_report(uj, support)
             assert expected.count_qualified_at_k > 0
             for block in (5, oracle.BLOCK):
@@ -305,11 +295,8 @@ class TestExhaustiveCheck:
         # the floors are necessary, so flagged sets only show up when the
         # floors are raised past what the basis needs; both sides must then
         # list the same subsets, in the same order, as tuples of int
-        rng = np.random.default_rng(91)
-        bt = eig_sym(laplacian(cycle_graph(3)))
-        bg = eig_sym(laplacian(random_connected_graph(4, rng)))
-        support = random_support(3, 4, rng, k_t=2, k_g=2, k=3)
-        uj = joint_basis_columns(bt, bg, support)
+        _, _, support, _, _, uj = families.instance(3, 4, np.random.default_rng(91),
+                                                     k_t=2, k_g=2, k=3)
         fields = ("t_dim", "g_dim", "k", "k_t", "k_g")
         raised = SimpleNamespace(floor_t=3, floor_g=3,
                                  **{f: getattr(support, f) for f in fields})
@@ -350,11 +337,8 @@ class TestExhaustiveCheck:
         # a stack of fewer than K rows can never reach rank K, and a larger
         # one decides nothing that its K-row subsets do not, so every stacked
         # call ranks K-row matrices
-        rng = np.random.default_rng(92)
-        bt = eig_sym(laplacian(cycle_graph(3)))
-        bg = eig_sym(laplacian(random_connected_graph(4, rng)))
-        support = random_support(3, 4, rng, k_t=2, k_g=3, k=4)
-        uj = joint_basis_columns(bt, bg, support)
+        _, _, support, _, _, uj = families.instance(3, 4, np.random.default_rng(92),
+                                                     k_t=2, k_g=3, k=4)
         shapes = []
 
         def recording(stack, *args, **kwargs):
@@ -366,18 +350,6 @@ class TestExhaustiveCheck:
         assert report.min_qualified_size == support.k
         assert shapes and all(shape[-2] == support.k for shape in shapes)
 
-    @staticmethod
-    def oracle_tiny_instances(seed, count):
-        """T = 4 cycle x N = 5 Erdos-Renyi instances with K_T = 2, K_G = 3,
-        K = 5, drawn in the order the oracle-tiny benchmark workload draws them."""
-        rng = np.random.default_rng(seed)
-        bt = eig_sym(laplacian(cycle_graph(4)))
-        for _ in range(count):
-            bg = eig_sym(laplacian(random_connected_graph(5, rng)))
-            support = random_support(4, 5, rng, k_t=2, k_g=3, k=5)
-            ut_r, ug_r = restrict_bases(bt, bg, support)
-            yield support, joint_columns_from_restricted(ut_r, ug_r, support)
-
     def test_svd_cross_check_at_the_size_limit(self):
         # The oracle must count exactly the 5-sets an SVD finds nonsingular
         # against uj's scale. Measured over the 194 instances of seeds 301 and
@@ -387,9 +359,9 @@ class TestExhaustiveCheck:
         # across the subset tree accepted; partial pivoting on each subset
         # must reject them.
         subsets = np.array(list(combinations(range(20), 5)))
-        instances = list(self.oracle_tiny_instances(304, 69))
+        instances = list(families.oracle_tiny(304, 69))
         for j in (0, 1, 2, 3, 68):
-            support, uj = instances[j]
+            support, uj = instances[j].support, instances[j].uj
             s = np.linalg.svd(uj[subsets], compute_uv=False)
             ratio = s[:, -1] / np.abs(uj).max()
             report = exhaustive_check(uj, support)
@@ -426,28 +398,13 @@ class TestExhaustiveCheck:
         assert (report.count_qualified_at_k, report.min_qualified_size,
                 report.exists_critical_set) == (0, None, False)
 
-    @staticmethod
-    def structured_instances(seed, count):
-        """T, N in 3..4, each factor a cycle, path or star, random supports
-        with K <= 6: bases whose exact zeros are computed as round-off."""
-        rng = np.random.default_rng(seed)
-        makers = (cycle_graph, path_graph, star_graph)
-        while count:
-            t, n = (int(v) for v in rng.integers(3, 5, size=2))
-            make_t, make_g = (makers[i] for i in rng.integers(0, 3, size=2))
-            support = random_support(t, n, rng)
-            if support.k > 6:
-                continue
-            count -= 1
-            bt, bg = eig_sym(laplacian(make_t(t))), eig_sym(laplacian(make_g(n)))
-            yield support, joint_basis_columns(bt, bg, support)
-
     def test_counts_sets_nonsingular_against_the_basis_scale(self):
         # the count is the K-sets whose sigma_min exceeds 1e-12 max|uj|.
         # Measured on these 60 instances: accepted sets have sigma_min /
         # max|uj| >= 2.3e-2, rejected ones <= 7.2e-16. Ranked against each
         # set's own scale, 11 of them counted sets of round-off rows too.
-        for support, uj in self.structured_instances(2024, 60):
+        for basis in families.structured(2024, 60, k_max=6):
+            support, uj = basis.support, basis.dense()
             subsets = np.array(list(combinations(range(len(uj)), support.k)))
             sigma_min = np.linalg.svd(uj[subsets], compute_uv=False)[:, -1]
             report = exhaustive_check(uj, support)
@@ -548,10 +505,7 @@ class TestMonotonicity:
         # outside each subset zeroed; each must have the rank of the same
         # subset's sorted rows on their own
         rng = np.random.default_rng(6)
-        bt = eig_sym(laplacian(cycle_graph(4)))
-        bg = eig_sym(laplacian(random_connected_graph(5, rng)))
-        support = random_support(4, 5, rng, k_t=2, k_g=3, k=5)
-        uj = joint_basis_columns(bt, bg, support)
+        _, _, support, _, _, uj = families.instance(4, 5, rng, k_t=2, k_g=3, k=5)
         nt = uj.shape[0]
         subsets = [rng.choice(nt, size=int(rng.integers(0, nt + 1)), replace=False)
                    for _ in range(300)]
@@ -589,11 +543,8 @@ class TestMonotonicity:
     def test_both_checks_rank_against_max_abs_uj(self, monkeypatch):
         # exhaustive_check ranks (..., K, K) subsets and check_monotonicity
         # ranks (2, trials, nt, K) stacks, both against max|uj| computed once
-        rng = np.random.default_rng(10)
-        bt = eig_sym(laplacian(cycle_graph(3)))
-        bg = eig_sym(laplacian(random_connected_graph(4, rng)))
-        support = random_support(3, 4, rng, k_t=2, k_g=2, k=3)
-        uj = 3.0 * joint_basis_columns(bt, bg, support)
+        inst = families.instance(3, 4, np.random.default_rng(10), k_t=2, k_g=2, k=3)
+        support, uj = inst.support, 3.0 * inst.uj
         rank = oracle.elimination_rank
         calls = []
 

@@ -4,13 +4,16 @@
 fails every benchmark op, such as a refusal of a flag that the
 ``cli-pipeline`` commands give, would otherwise only show as a failed
 benchmark run. This runs each workload's ``setup``, two ops and the detailed
-``check``, and expects no failure.
+``check``, and expects no failure. It also checks that ``oracle-tiny`` draws
+the instances of ``families.oracle_tiny``, which the oracle tests use.
 """
 
 import sys
 from pathlib import Path
 
 import pytest
+
+import families
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -37,3 +40,16 @@ def test_ops_pass_their_check(name, tmp_path):
             assert failure is None, f"{name} op {i}: {failure}"
     finally:
         workload.teardown(state)
+
+
+@pytest.mark.parametrize("seed", [3, 304])
+def test_oracle_tiny_draws_the_family(seed, tmp_path):
+    # the oracle tests take their instances at the size limit from
+    # families.oracle_tiny; they must be the benchmark's, bit for bit
+    drawn = OracleTiny().setup(seed, tmp_path)["instances"]
+    family = list(families.oracle_tiny(seed, OracleTiny.pool))
+    assert len(drawn) == len(family)
+    for (support, uj), inst in zip(drawn, family):
+        assert support == inst.support
+        assert (uj.dtype, uj.shape, uj.tobytes()) == (inst.uj.dtype, inst.uj.shape,
+                                                      inst.uj.tobytes())

@@ -5,12 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import families
 from jtvsampling import (
     JointBasis,
     SamplingPlan,
     SpectralSupport,
     critical_sampling_set,
-    cycle_graph,
     eig_sym,
     joint_basis_columns,
     joint_columns_from_restricted,
@@ -22,12 +22,11 @@ from jtvsampling import (
     restrict_bases,
     sample,
     separate_sampling,
-    star_graph,
     synth_from_restricted,
     synth_signal,
 )
 from jtvsampling import bench, oracle, sampling
-from jtvsampling.generate import random_coeffs, random_connected_graph, random_support
+from jtvsampling.generate import random_coeffs, random_support
 from jtvsampling.sampling import (
     IllConditionedError,
     RankDeficiencyError,
@@ -36,15 +35,6 @@ from jtvsampling.sampling import (
     reconstruct_coefficients,
 )
 from jtvsampling.spectral import RANK_TOL
-
-
-def make_instance(t_dim, g_dim, rng, **support_kwargs):
-    bt = eig_sym(laplacian(cycle_graph(t_dim)))
-    bg = eig_sym(laplacian(random_connected_graph(g_dim, rng)))
-    support = random_support(t_dim, g_dim, rng, **support_kwargs)
-    ut_r, ug_r = restrict_bases(bt, bg, support)
-    uj = joint_basis_columns(bt, bg, support)
-    return bt, bg, support, ut_r, ug_r, uj
 
 
 class TestMaxLinIndepRows:
@@ -104,9 +94,7 @@ class TestCriticalSamplingSet:
         assert report.qualified and report.critical
 
     def test_full_support_takes_everything(self):
-        rng = np.random.default_rng(2)
-        bt = eig_sym(laplacian(cycle_graph(3)))
-        bg = eig_sym(laplacian(random_connected_graph(3, rng)))
+        bt, bg = families.basis_pair(3, 3, np.random.default_rng(2))
         support = SpectralSupport(
             t_dim=3, g_dim=3,
             pairs=frozenset((jt, jg) for jt in range(3) for jg in range(3)),
@@ -118,11 +106,7 @@ class TestCriticalSamplingSet:
         assert report.critical
 
     def test_random_instances_always_critical(self):
-        rng = np.random.default_rng(99)
-        for _ in range(200):
-            t_dim = int(rng.integers(3, 7))
-            g_dim = int(rng.integers(2, 7))
-            _, _, support, ut_r, ug_r, uj = make_instance(t_dim, g_dim, rng)
+        for _, _, support, ut_r, ug_r, uj in families.random_instances(99, 200, 6, 6):
             plan, report = critical_sampling_set(ut_r, ug_r, uj, support)
             assert report.critical
             assert plan.size == support.k
@@ -144,8 +128,7 @@ class TestCriticalSamplingSet:
         # grids; 13 of the 20 were misses when this was written. Which grid
         # step 1 picks on a cycle is round-off's choice, so none is named.
         rng = np.random.default_rng(7)
-        bt = eig_sym(laplacian(cycle_graph(5)))
-        bg = eig_sym(laplacian(random_connected_graph(3, rng)))
+        bt, bg = families.basis_pair(5, 3, rng)
         misses = 0
         for _ in range(20):
             support = random_support(5, 3, rng, k_t=3, k_g=2, k=4)
@@ -199,7 +182,7 @@ class TestCriticalSamplingSet:
         monkeypatch.setattr(sampling, "qualify", lambda *a: calls.append(1) or original(*a))
         rng = np.random.default_rng(99)
         for done in range(1, 51):
-            _, _, support, ut_r, ug_r, uj = make_instance(5, 4, rng)
+            _, _, support, ut_r, ug_r, uj = families.instance(5, 4, rng)
             assert critical_sampling_set(ut_r, ug_r, uj, support)[1].critical
             assert len(calls) == done
 
@@ -310,22 +293,6 @@ def round_off_instance():
     return basis, SamplingPlan(5, 4, frozenset({(2, 0)}))
 
 
-def small_structured_instances(seed, count):
-    """Joint bases with T, N in 3..4, each factor a cycle, path or star, and
-    random supports with K <= 3: exact zeros of the bases are round-off."""
-    rng = np.random.default_rng(seed)
-    makers = (cycle_graph, path_graph, star_graph)
-    while count:
-        t, n = (int(v) for v in rng.integers(3, 5, size=2))
-        make_t, make_g = (makers[i] for i in rng.integers(0, 3, size=2))
-        support = random_support(t, n, rng)
-        if support.k > 3:
-            continue
-        count -= 1
-        bt, bg = eig_sym(laplacian(make_t(t))), eig_sym(laplacian(make_g(n)))
-        yield JointBasis(*restrict_bases(bt, bg, support), support)
-
-
 class TestRankAgainstBasisScale:
     """``qualify`` and the solve rank a sampled block against the joint
     basis's max |entry|, as the oracle does, not against the block's own."""
@@ -346,7 +313,7 @@ class TestRankAgainstBasisScale:
         # qualify's verdict is the oracle's rank-K test against max|uj|, and
         # the solve refuses exactly the unqualified sets; ranked against each
         # block's own scale, 44 of these 5,585 sets disagreed with the oracle
-        for basis in small_structured_instances(2024, 40):
+        for basis in families.structured(2024, 40, k_max=3):
             support, uj = basis.support, basis.dense()
             subsets = np.array(list(combinations(range(len(uj)), support.k)))
             ranks = oracle.elimination_rank(uj[subsets], scale=np.abs(uj).max())
@@ -456,8 +423,7 @@ class TestJointBasisInput:
         # the instances of acceptance criterion 5
         rng = np.random.default_rng(1)
         for _ in range(100):
-            t_dim, g_dim = int(rng.integers(3, 9)), int(rng.integers(2, 9))
-            _, _, support, ut_r, ug_r, uj = make_instance(t_dim, g_dim, rng)
+            _, _, support, ut_r, ug_r, uj = families.random_instance(rng, 8, 8)
             self.assert_same_results(ut_r, ug_r, uj, support, rng)
 
     def test_bench_instance(self):
@@ -563,9 +529,7 @@ class TestSeparateSampling:
             separate_sampling(ut_r, np.ones((2, 1)))
 
     def test_rectangle_support_matches_critical_size(self):
-        rng = np.random.default_rng(31)
-        bt = eig_sym(laplacian(cycle_graph(5)))
-        bg = eig_sym(laplacian(random_connected_graph(4, rng)))
+        bt, bg = families.basis_pair(5, 4, np.random.default_rng(31))
         support = SpectralSupport(
             t_dim=5, g_dim=4,
             pairs=frozenset((jt, jg) for jt in (1, 3) for jg in (0, 2)),
@@ -608,7 +572,7 @@ class TestReconstruct:
 
     def test_overdetermined_path_agrees(self):
         rng = np.random.default_rng(8)
-        bt, bg, support, ut_r, ug_r, uj = make_instance(5, 4, rng)
+        bt, bg, support, ut_r, ug_r, uj = families.instance(5, 4, rng)
         x = synth_signal(bt, bg, support, random_coeffs(support, rng))
         plan, _ = critical_sampling_set(ut_r, ug_r, uj, support)
         sep = separate_sampling(ut_r, ug_r)
@@ -619,8 +583,7 @@ class TestReconstruct:
 
     def test_full_support_identity_round_trip(self):
         rng = np.random.default_rng(6)
-        bt = eig_sym(laplacian(cycle_graph(3)))
-        bg = eig_sym(laplacian(random_connected_graph(3, rng)))
+        bt, bg = families.basis_pair(3, 3, rng)
         support = SpectralSupport(
             t_dim=3, g_dim=3,
             pairs=frozenset((jt, jg) for jt in range(3) for jg in range(3)),

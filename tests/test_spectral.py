@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+import families
 from jtvsampling import (
-    EigenBasis,
     JointBasis,
     SpectralSupport,
     cycle_graph,
@@ -125,8 +125,7 @@ class TestJft:
 
     def test_round_trip_and_frobenius(self):
         rng = np.random.default_rng(3)
-        bt = eig_sym(laplacian(cycle_graph(5)))
-        bg = eig_sym(random_laplacian(4, rng))
+        bt, bg = families.basis_pair(5, 4, rng)
         x = rng.normal(size=(4, 5))
         xf = jft(bt, bg, x)
         assert np.max(np.abs(bg.vectors @ xf @ bt.vectors.T - x)) < 1e-10
@@ -134,8 +133,7 @@ class TestJft:
 
     def test_matches_vectorized_transform(self):
         rng = np.random.default_rng(11)
-        bt = eig_sym(laplacian(cycle_graph(3)))
-        bg = eig_sym(random_laplacian(4, rng))
+        bt, bg = families.basis_pair(3, 4, rng)
         x = rng.normal(size=(4, 3))
         xf = jft(bt, bg, x)
         uj = np.kron(bt.vectors, bg.vectors)
@@ -182,9 +180,7 @@ class TestJointBasisColumns:
         assert np.max(np.abs(rows - ref.psi_uj)) < 1e-3
 
     def test_full_support_orthonormal(self):
-        rng = np.random.default_rng(5)
-        bt = eig_sym(laplacian(cycle_graph(3)))
-        bg = eig_sym(random_laplacian(3, rng))
+        bt, bg = families.basis_pair(3, 3, np.random.default_rng(5))
         support = SpectralSupport(
             t_dim=3, g_dim=3,
             pairs=frozenset((jt, jg) for jt in range(3) for jg in range(3)),
@@ -202,9 +198,7 @@ class TestJointBasisColumns:
         assert abs(np.linalg.norm(uj[:, 0]) - 1.0) < 1e-12
 
     def test_orthonormal_columns(self):
-        rng = np.random.default_rng(9)
-        bt = eig_sym(laplacian(cycle_graph(5)))
-        bg = eig_sym(random_laplacian(4, rng))
+        bt, bg = families.basis_pair(5, 4, np.random.default_rng(9))
         support = SpectralSupport(
             t_dim=5, g_dim=4, pairs=frozenset({(0, 1), (2, 1), (2, 3), (4, 0)})
         )
