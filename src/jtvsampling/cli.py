@@ -36,6 +36,15 @@ def _parse_pairs(text):
     return pairs
 
 
+def _int(text, source):
+    """``text`` as an int; anything else is refused naming ``source``, the flag
+    or variable it came from."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{source} value {text!r} is not an integer") from None
+
+
 def _load_bases(args):
     """Time and graph eigenbases of the ``--graph-t`` / ``--graph-g`` files."""
     return tuple(
@@ -57,7 +66,7 @@ def _seed(args):
     seeded, so a command that draws nothing ignores ``$JTV_SEED``."""
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get(SEED_ENV, "0"))
+    return _int(os.environ.get(SEED_ENV, "0"), f"${SEED_ENV}")
 
 
 def _load_restricted(args):
@@ -129,29 +138,34 @@ def cmd_analyze(args):
     x_mat = fileio.load_signal(args.signal)
     xf = spectral.jft(*_load_bases(args), x_mat)
     support = bandlimit.detect_support(xf, eps=args.eps)
+    # written first, so a bad --out reports no result
+    if args.out is not None:
+        fileio.save_support(support, args.out)
     print(
         f"K={support.k} K_T={support.k_t} K_G={support.k_g} "
         f"sbl={support.is_sbl()}"
     )
     if args.out is not None:
-        fileio.save_support(support, args.out)
         print(f"wrote support to {args.out}")
     return EXIT_OK
 
 
-def _claim(*paths):
-    """Open each path for appending, which truncates nothing, and close it
-    again: the first path that cannot be written raises its ``OSError``
-    before any is written, and the files made here for the paths before it
-    are removed."""
+def _claim(schedule, out):
+    """Open both paths for appending, which truncates nothing, and close them
+    again, before either is written. A path that cannot be written raises its
+    ``OSError``, and two paths that name one file, the same path or through a
+    link, are a ``ValueError``; either way the files made here are removed, so
+    each path is left as it was."""
     made = []
     try:
-        for path in paths:
-            existed = os.path.lexists(path)
+        for path in (schedule, out):
+            existed = os.path.exists(path)  # a dangling link's target is made here
             open(path, "a").close()
             if not existed:
-                made.append(path)
-    except OSError:
+                made.append(os.path.realpath(path))
+        if os.path.samefile(schedule, out):
+            raise ValueError("--schedule and -o name one file")
+    except (OSError, ValueError):
         for path in made:
             os.remove(path)
         raise
@@ -225,13 +239,15 @@ def cmd_verify(args):
     if args.exhaustive:
         # the oracle ranks the dense basis, built apart from the fast path
         uj = basis.dense()
-        ex = oracle.exhaustive_check(uj, support)
-        out["exhaustive"] = {**dataclasses.asdict(ex),
-                             "floor_t": support.floor_t, "floor_g": support.floor_g}
+        # the trials run first, so a --trials below 1 is refused before the
+        # enumeration; the generator feeds only them
         mono = oracle.check_monotonicity(
             uj, 200 if args.trials is None else args.trials,
             rng=np.random.default_rng(_seed(args)),
         )
+        ex = oracle.exhaustive_check(uj, support)
+        out["exhaustive"] = {**dataclasses.asdict(ex),
+                             "floor_t": support.floor_t, "floor_g": support.floor_g}
         out["monotone"] = mono
         if ex.violations or ex.min_qualified_size != support.k or not mono:
             code = EXIT_THEORY
@@ -248,7 +264,7 @@ def cmd_bench(args):
     else:
         # the sweep builds its own instances
         _refuse(args, ("graph_t", "graph_g", "basis_file"), "without --support")
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+        sizes = [_int(s, "--sizes") for s in args.sizes.split(",") if s.strip()]
         if not sizes:
             raise ValueError("no sizes given")
         rows = bench.benchmark(sizes, seed=_seed(args), repeats=args.repeats)

@@ -19,14 +19,35 @@ def _dump_json(obj, path):
         fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _load_json(path, kind, build):
-    """``build(data)`` of the JSON in ``path``; invalid JSON or a bad key, type or
-    value is a malformed file."""
+def _load(path, kind, parse):
+    """``parse(fh)`` of the text file ``path``, the one reader of every input
+    file. An ``OSError`` passes through; a bad key, type or value that ``parse``
+    meets, undecodable bytes among them, is a malformed ``kind`` file."""
     with open(path) as fh:
         try:
-            return build(json.load(fh))
+            return parse(fh)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed {kind} file {path}: {exc}") from exc
+
+
+def _json(build):
+    """The parse of a JSON file: ``build(data)`` of the data it holds."""
+    return lambda fh: build(json.load(fh))
+
+
+def _finite(values):
+    """``values``, a float array, refused if an entry is NaN or infinite."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("it contains non-finite values")
+    return values
+
+
+def _table(values):
+    """The values of a signal or samples file, refused if there are none or
+    one is not finite."""
+    if not np.size(values):
+        raise ValueError("it is empty")
+    return _finite(values)
 
 
 def save_graph(g: Graph, path):
@@ -34,7 +55,7 @@ def save_graph(g: Graph, path):
 
 
 def load_graph(path) -> Graph:
-    return _load_json(path, "graph", lambda data: Graph(data["n"], data["edges"]))
+    return _load(path, "graph", _json(lambda data: Graph(data["n"], data["edges"])))
 
 
 def save_support(s: SpectralSupport, path):
@@ -45,11 +66,11 @@ def save_support(s: SpectralSupport, path):
 
 
 def load_support(path) -> SpectralSupport:
-    return _load_json(path, "support", lambda data: SpectralSupport(
+    return _load(path, "support", _json(lambda data: SpectralSupport(
         t_dim=data["T"],
         g_dim=data["N"],
         pairs=data["pairs"],
-    ))
+    )))
 
 
 def save_signal(x_mat: np.ndarray, path):
@@ -61,17 +82,13 @@ def save_signal(x_mat: np.ndarray, path):
 
 
 def load_signal(path) -> np.ndarray:
-    # opened here, not by loadtxt, so a missing file is refused with open's
-    # message, as by every other loader
-    with open(path) as fh, warnings.catch_warnings():
-        # numpy warns about an empty file, which is refused below
+    with warnings.catch_warnings():
+        # numpy warns about an empty file, which _table refuses
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        x = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if not x.size:
-        raise ValueError(f"signal file {path} is empty")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"signal file {path} contains non-finite values")
-    return x
+        # opened by _load, not by loadtxt, so a missing file is refused with
+        # open's message, as by every other loader
+        return _load(path, "signal",
+                     lambda fh: _table(np.loadtxt(fh, delimiter=",", ndmin=2)))
 
 
 def _report_fields(report: QualificationReport) -> dict:
@@ -101,11 +118,11 @@ def save_plan(plan: SamplingPlan, report: QualificationReport, path):
 
 
 def load_plan(path) -> SamplingPlan:
-    return _load_json(path, "plan", lambda data: SamplingPlan(
+    return _load(path, "plan", _json(lambda data: SamplingPlan(
         t_dim=data["T"],
         g_dim=data["N"],
         samples=data["samples"],
-    ))
+    )))
 
 
 def save_samples(plan: SamplingPlan, values: np.ndarray, path):
@@ -118,26 +135,26 @@ def save_samples(plan: SamplingPlan, values: np.ndarray, path):
             fh.write(f"{t},{v},{val:.17g}\n")
 
 
+def _samples(fh):
+    """The (t, v) points and the values of the non-blank lines of a samples
+    file; a bad line is refused by its number."""
+    points, values = [], []
+    for line_no, line in enumerate(fh, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            t, v, value = line.split(",")
+            points.append(tuple(_as_index(float(i), "sample index") for i in (t, v)))
+            values.append(float(value))
+        except ValueError as exc:
+            raise ValueError(f"line {line_no}: {exc}") from exc
+    return points, _table(np.array(values))
+
+
 def load_samples(path):
     """Returns (list of (t, v), value array) in file order; indices as in plan files."""
-    points, values = [], []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                t, v, value = line.split(",")
-                points.append(tuple(_as_index(float(i), "sample index") for i in (t, v)))
-                values.append(float(value))
-            except ValueError as exc:
-                raise ValueError(f"malformed samples file {path}, line {line_no}: {exc}") from exc
-    if not points:
-        raise ValueError(f"samples file {path} is empty")
-    values = np.array(values)
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"samples file {path} contains non-finite values")
-    return points, values
+    return _load(path, "samples", _samples)
 
 
 def save_basis_pair(ut_r: np.ndarray, ug_r: np.ndarray, path):
@@ -159,13 +176,13 @@ def _entries(value):
     return _as_real(value, "basis entry")
 
 
-def load_basis_pair(path):
-    ut_r, ug_r = _load_json(path, "basis", lambda data: (
-        np.array(_entries(data["U_T"]), dtype=float),
-        np.array(_entries(data["U_G"]), dtype=float),
-    ))
+def _basis(data):
+    """The two matrices of a basis file's data, each refused unless finite."""
+    ut_r, ug_r = (np.array(_entries(data[key]), dtype=float) for key in ("U_T", "U_G"))
     if ut_r.ndim != 2 or ug_r.ndim != 2:
-        raise ValueError(f"basis file {path} must hold two matrices")
-    if not (np.all(np.isfinite(ut_r)) and np.all(np.isfinite(ug_r))):
-        raise ValueError(f"basis file {path} contains non-finite values")
-    return ut_r, ug_r
+        raise ValueError("it must hold two matrices")
+    return _finite(ut_r), _finite(ug_r)
+
+
+def load_basis_pair(path):
+    return _load(path, "basis", _json(_basis))

@@ -301,7 +301,7 @@ class TestSharedInputs:
         assert out.exists()
 
     @pytest.mark.parametrize("name", [*SEEDED, "bench", "verify"])
-    def test_invalid_env_seed_exit_2(self, workspace, monkeypatch, name):
+    def test_invalid_env_seed_exit_2(self, workspace, monkeypatch, capsys, name):
         tmp, paths = workspace
         argv = {
             "bench": lambda p: ["bench", "--sizes", 6, "--repeats", 1],
@@ -311,7 +311,10 @@ class TestSharedInputs:
         }[name](paths)
         monkeypatch.setenv("JTV_SEED", "seven")
         out = tmp / "out.txt"
+        capsys.readouterr()
         assert run(*argv, "-o", out) == 2
+        # used to be int()'s message, which names no source
+        assert capsys.readouterr().err == "error: $JTV_SEED value 'seven' is not an integer\n"
         assert not out.exists()
 
 
@@ -782,6 +785,35 @@ class TestMalformedInputs:
             f"error: [Errno 2] No such file or directory: '{out}'\n")
         assert (schedule.read_text() if schedule.exists() else None) == before
 
+    @pytest.mark.parametrize("before", [None, "kept\n"], ids=["new", "existing"])
+    @pytest.mark.parametrize("link", [False, True], ids=["same path", "symlink"])
+    def test_schedule_and_plan_in_one_file_exit_2(self, workspace, capsys, link, before):
+        # exit 0 used to leave the file holding the schedule, not the plan
+        tmp, paths = workspace
+        out = tmp / "plan.json"
+        schedule = tmp / "link.json" if link else out
+        if link:
+            schedule.symlink_to(out)
+        if before is not None:
+            out.write_text(before)
+        code = run("plan", "--graph-t", paths["gt"], "--graph-g", paths["gg"],
+                   "--support", paths["support"], "--schedule", schedule, "-o", out)
+        assert code == 2
+        assert capsys.readouterr().err == "error: --schedule and -o name one file\n"
+        assert (out.read_text() if out.exists() else None) == before
+        assert schedule.is_symlink() == link
+
+    def test_analyze_bad_out_reports_nothing(self, workspace, ref, capsys):
+        # the detected support used to be printed before --out failed
+        tmp, paths = workspace
+        signal, out = tmp / "x.csv", tmp / "missing" / "found.json"
+        fileio.save_signal(ref.x, signal)
+        capsys.readouterr()
+        code = run("analyze", "--graph-t", paths["gt"], "--graph-g", paths["gg"],
+                   "--signal", signal, "--out", out)
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: '{out}'\n")
+
     def test_non_integral_vertex_count_exit_2(self, workspace, capsys):
         tmp, paths = workspace
         data = json.loads(paths["gg"].read_text())
@@ -833,7 +865,7 @@ class TestMalformedInputs:
         code = run("analyze", "--graph-t", paths["gt"], "--graph-g", paths["gg"],
                    "--signal", signal)
         assert code == 2
-        assert capsys.readouterr().err == f"error: signal file {signal} is empty\n"
+        assert capsys.readouterr().err == f"error: malformed signal file {signal}: it is empty\n"
 
     EMPTY_PATH = {
         "plan --basis-file": lambda p: ["plan", "--support", p["support"], "--basis-file", "",
@@ -1235,9 +1267,16 @@ class TestVerify:
         assert seen == [trials]
 
     @pytest.mark.parametrize("option", [("--trials", 0), ("--trials", -5)])
-    def test_exhaustive_rejects_empty_checks(self, tmp_path, option):
+    def test_exhaustive_rejects_empty_checks(self, tmp_path, monkeypatch, capsys, option):
+        # refused before the enumeration, which used to run first
+        def enumerate_subsets(*args):
+            raise AssertionError("the subsets were enumerated")
+
+        monkeypatch.setattr(oracle, "exhaustive_check", enumerate_subsets)
         code = run("verify", *self.sparse_instance(tmp_path), "--exhaustive", *option)
         assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: monotonicity needs at least 1 trial, got {option[1]}\n")
 
     def test_max_size_is_a_usage_error(self, tmp_path):
         # the oracle ranks exactly the K-subsets, so there is no size to choose
@@ -1268,6 +1307,13 @@ class TestBench:
         out = tmp_path / "bench.csv"
         assert run("bench", "--sizes", ",", "-o", out) == 2
         assert capsys.readouterr().err == "error: no sizes given\n"
+        assert not out.exists()
+
+    def test_non_integer_size_exit_2(self, tmp_path, capsys):
+        # used to be int()'s message, which names no source
+        out = tmp_path / "bench.csv"
+        assert run("bench", "--sizes", "8,x", "-o", out) == 2
+        assert capsys.readouterr().err == "error: --sizes value 'x' is not an integer\n"
         assert not out.exists()
 
     def test_explicit_instance_counts(self, workspace):

@@ -64,16 +64,6 @@ def test_signal_non_finite_rejected(tmp_path, bad):
         fileio.load_signal(path)
 
 
-@pytest.mark.parametrize("text", ["", "\n\n"])
-def test_signal_empty_rejected(tmp_path, text):
-    # numpy warns about an empty file; the suite turns that warning into an
-    # error, so this also checks that none is issued
-    path = tmp_path / "x.csv"
-    path.write_text(text)
-    with pytest.raises(ValueError, match="is empty"):
-        fileio.load_signal(path)
-
-
 def test_plan_round_trip(tmp_path, ref):
     uj = joint_columns_from_restricted(ref.ut_r, ref.ug_r, ref.support)
     plan = SamplingPlan(4, 4, frozenset({(0, 0), (1, 0), (1, 2)}))
@@ -134,14 +124,7 @@ def test_samples_bad_line_named(tmp_path, line, reason):
     path.write_text(f"0,0,1.0\n\n{line}\n")
     with pytest.raises(ValueError) as err:
         fileio.load_samples(path)
-    assert str(err.value) == f"malformed samples file {path}, line 3: {reason}"
-
-
-def test_samples_empty(tmp_path):
-    path = tmp_path / "empty.csv"
-    path.write_text("")
-    with pytest.raises(ValueError, match="empty"):
-        fileio.load_samples(path)
+    assert str(err.value) == f"malformed samples file {path}: line 3: {reason}"
 
 
 def test_basis_pair_round_trip(tmp_path, ref):
@@ -179,14 +162,49 @@ LOADERS = {
     "support": fileio.load_support,
     "plan": fileio.load_plan,
     "basis": fileio.load_basis_pair,
+    "signal": fileio.load_signal,
+    "samples": fileio.load_samples,
 }
+JSON_KINDS = ("graph", "support", "plan", "basis")
+
+
+@pytest.mark.parametrize("kind, content, reason", [
+    # a file that is not valid for its kind
+    pytest.param("graph", b'{"edges": []}', "'n'", id="graph-invalid"),
+    pytest.param("support", b'{"T": 4}', "'N'", id="support-invalid"),
+    pytest.param("plan", b'{"T": 4, "N": 4}', "'samples'", id="plan-invalid"),
+    pytest.param("basis", b'{"U_T": [[1.0]]}', "'U_G'", id="basis-invalid"),
+    pytest.param("signal", b"1,2,3\n4,5\n", "the number of columns changed from 3 to 2 at row 2",
+                 id="signal-invalid"),
+    pytest.param("samples", b"0,0,1.0\n0,1\n", "line 2: not enough values to unpack",
+                 id="samples-invalid"),
+    # a file that is not UTF-8
+    *(pytest.param(kind, b"\xff\n", "can't decode byte 0xff", id=f"{kind}-not-utf-8")
+      for kind in LOADERS),
+    # no values, or a non-finite one; numpy warns about an empty signal file,
+    # and the suite turns that warning into an error, so none may be issued
+    pytest.param("signal", b"", "it is empty", id="signal-empty"),
+    pytest.param("signal", b"\n\n", "it is empty", id="signal-blank-lines"),
+    pytest.param("samples", b"", "it is empty", id="samples-empty"),
+    pytest.param("samples", b"0,0,1.0\n0,1,nan\n", "it contains non-finite values",
+                 id="samples-non-finite"),
+])
+def test_malformed_file_named(tmp_path, kind, content, reason):
+    # every loader reads through one routine, so every kind is refused alike; a
+    # ragged or undecodable signal and an undecodable samples file named no file
+    path = tmp_path / "bad"
+    path.write_bytes(content)
+    with pytest.raises(ValueError) as err:
+        LOADERS[kind](path)
+    assert str(err.value).startswith(f"malformed {kind} file {path}: ")
+    assert reason in str(err.value)
 
 
 @pytest.mark.parametrize("kind, text", [
     ("plan", '{"T": 4, "N": 4}'),
     ("basis", '{"U_T": [[1.0]]}'),
-    *((kind, "[4, 4, [[0, 0]]]") for kind in LOADERS),
-    *((kind, "{not json") for kind in LOADERS),
+    *((kind, "[4, 4, [[0, 0]]]") for kind in JSON_KINDS),
+    *((kind, "{not json") for kind in JSON_KINDS),
 ])
 def test_malformed_json_rejected(tmp_path, kind, text):
     # a missing key, a JSON list where an object belongs, or no JSON at all;
