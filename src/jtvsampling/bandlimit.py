@@ -1,11 +1,12 @@
 """Spectral supports, bandwidth bookkeeping, and bandlimited signal synthesis."""
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import _as_index
+from .graphs import _as_index, _as_real
 from .spectral import EigenBasis, JointBasis, restrict_bases
 
 
@@ -124,15 +125,22 @@ def synth_from_restricted(ut_r: np.ndarray, ug_r: np.ndarray,
                           support: SpectralSupport, coeffs: dict) -> np.ndarray:
     """N x T signal with the given spectrum, built from restricted bases, which
     must be (T, K_T) and (N, K_G): :meth:`JointBasis.synth` of the coefficients
-    in the support's canonical pair order. A zero coefficient is refused."""
+    in the support's canonical pair order. A coefficient must be a number by
+    the rule of a graph weight (a bool or a string is refused), finite and
+    not zero; the first one that is not, in the dict's order, is refused."""
     basis = JointBasis(ut_r, ug_r, support)
     if set(coeffs) != support.pairs:
         raise ValueError("coefficients must be keyed exactly by the support pairs")
+    values = {}
     for (jt, jg), val in coeffs.items():
-        if float(val) == 0.0:
+        val = _as_real(val, f"coefficient at pair ({jt}, {jg})")
+        if not math.isfinite(val):
+            raise ValueError(f"non-finite coefficient {val} at pair ({jt}, {jg})")
+        if val == 0.0:
             raise ValueError(f"zero coefficient at pair ({jt}, {jg}) would silently "
                              "shrink the bandwidth")
-    return basis.synth(np.array([float(coeffs[p]) for p in support.sorted_pairs]))
+        values[jt, jg] = val
+    return basis.synth(np.array([values[p] for p in support.sorted_pairs]))
 
 
 def synth_signal(basis_t: EigenBasis, basis_g: EigenBasis,

@@ -136,6 +136,10 @@ def cmd_gen_signal(args):
 
 def cmd_analyze(args):
     x_mat = fileio.load_signal(args.signal)
+    # detection is relative to the peak, so the signal is scaled by a power
+    # of two, exactly, to a peak in [0.5, 1): a finite signal cannot overflow
+    # the transform
+    x_mat = np.ldexp(x_mat, -np.frexp(np.max(np.abs(x_mat)))[1])
     xf = spectral.jft(*_load_bases(args), x_mat)
     support = bandlimit.detect_support(xf, eps=args.eps)
     # written first, so a bad --out reports no result
@@ -271,7 +275,7 @@ def cmd_bench(args):
     bench.write_bench_csv(rows, args.out)
     for r in rows:
         print(
-            f"T=N={r.t_dim} K={r.k} samples {r.samples_critical} vs "
+            f"T={r.t_dim} N={r.g_dim} K={r.k} samples {r.samples_critical} vs "
             f"{r.samples_separate} factored {r.time_factored:.4f}s "
             f"naive {r.time_naive:.4f}s early-stop {r.time_naive_early:.4f}s "
             f"ratio {r.ratio:.3f}"

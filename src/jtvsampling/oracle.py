@@ -14,7 +14,7 @@ from math import comb, prod
 import numpy as np
 
 from .bandlimit import SpectralSupport
-from .spectral import RANK_TOL, _check_joint
+from .spectral import RANK_TOL, _check_joint, _max_abs
 
 MAX_JOINT_VERTICES = 20
 # Subsets ranked per stacked elimination call: large enough to amortize the
@@ -137,7 +137,7 @@ def exhaustive_check(uj: np.ndarray, support: SpectralSupport) -> ExhaustiveRepo
     k = support.k
     _check_enumerable(nt)
     uj = _check_joint(uj, support)
-    scale = np.abs(uj).max(initial=0.0)
+    scale = _max_abs(uj)
 
     # uint8 holds every index below MAX_JOINT_VERTICES
     table = np.fromiter(chain.from_iterable(combinations(_INDICES[:nt], k)),
@@ -179,7 +179,7 @@ def check_monotonicity(uj: np.ndarray, trials: int, rng) -> bool:
     # a trial ranks two nt-row matrices, about 8 times the rows of one
     # enumerated subset at the size limit, so a call takes fewer trials
     per_call = BLOCK // 8
-    scale = np.abs(uj).max(initial=0.0)
+    scale = _max_abs(uj)
     for first in range(0, trials, per_call):
         count = min(per_call, trials - first)
         big = rng.integers(0, nt + 1, size=count)

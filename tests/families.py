@@ -4,11 +4,14 @@ Every cycle x Erdos-Renyi instance starts from one basis pair: the cycle(T)
 eigenbasis, then the eigenbasis of a connected ER(N) graph drawn from the
 caller's generator. The generators below fix each family's seed and draw
 order, so a test, the digest below and the oracle-tiny benchmark workload draw
-the same instances.
+the same instances. The random graphs of the Laplacian tests and the
+random-factor instances of the joint-basis tests, which no plan is made from,
+are drawn here too.
 
 Run as a script, ``PYTHONPATH=src python3 tests/families.py`` plans every
-family at the seeds and counts the suite uses, ``bench.prepare_case`` at
-n = 16 to 128 (seeds 0-2) and the README walkthrough, and prints one line per
+planner family at the seeds and counts the suite uses, all 6,000 draws of the
+structured family with ER factors, ``bench.prepare_case`` at n = 16 to 128
+(seeds 0-2) and the README walkthrough, and prints one line per
 family: the count, the plans that are not critical, the rank refusals, the
 worst condition number of a sampled block, and a SHA-256 of every plan's
 sorted samples, rank and verdicts in draw order. It runs the BLAS on one
@@ -17,6 +20,7 @@ move a plan should not move a digest.
 """
 
 import os
+from itertools import combinations
 
 if __name__ == "__main__":  # the BLAS reads these once, when numpy loads
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -28,6 +32,7 @@ import numpy as np  # noqa: E402
 
 from jtvsampling import (  # noqa: E402
     EigenBasis,
+    Graph,
     JointBasis,
     SpectralSupport,
     cycle_graph,
@@ -88,21 +93,65 @@ def oracle_tiny(seed, count):
         yield instance(4, 5, rng, k_t=2, k_g=3, k=5)
 
 
-def structured(seed, count, k_max):
-    """Joint bases with T, N in 3..4, each factor a cycle, path or star, and
-    random supports with K <= ``k_max``: bases whose exact zeros are computed
-    as round-off."""
+def structured(seed, count, k_max=None, dim_max=4, er=False):
+    """Joint bases with T, N in 3..``dim_max``, each factor a cycle, path or
+    star, or with ``er`` also a connected ER graph, drawn after the support,
+    and random supports with K <= ``k_max``: bases whose exact zeros are
+    computed as round-off."""
     rng = np.random.default_rng(seed)
     makers = (cycle_graph, path_graph, star_graph)
+    if er:
+        makers += (lambda n: random_connected_graph(n, rng),)
     while count:
-        t, n = (int(v) for v in rng.integers(3, 5, size=2))
-        make_t, make_g = (makers[i] for i in rng.integers(0, 3, size=2))
+        t, n = (int(v) for v in rng.integers(3, dim_max + 1, size=2))
+        make_t, make_g = (makers[i] for i in rng.integers(0, len(makers), size=2))
         support = random_support(t, n, rng)
-        if support.k > k_max:
+        if k_max is not None and support.k > k_max:
             continue
         count -= 1
         bt, bg = eig_sym(laplacian(make_t(t))), eig_sym(laplacian(make_g(n)))
         yield JointBasis(*restrict_bases(bt, bg, support), support)
+
+
+def structured_er(count):
+    """The first ``count`` of the 6,000 draws of seed 616 with T, N in 3..12
+    and each factor a cycle, path, star or connected ER graph."""
+    return structured(616, count, dim_max=12, er=True)
+
+
+def random_graphs(seed, count, max_n):
+    """``count`` graphs: one vertex, ``max_n`` vertices and no edge, the complete
+    graph on ``max_n`` vertices with every weight 0.1, then 5.0; then n in
+    1..``max_n``, each vertex pair an edge with probability 1/2 and weight
+    uniform in [0.1, 5.0], connected or not."""
+    rng = np.random.default_rng(seed)
+    complete = list(combinations(range(max_n), 2))
+    first = [Graph(1, ()), Graph(max_n, ()),
+             *(Graph(max_n, [(i, j, w) for i, j in complete]) for w in (0.1, 5.0))]
+    yield from first[:count]
+    for _ in range(count - len(first)):
+        n = int(rng.integers(1, max_n + 1))
+        yield Graph(n, [(i, j, rng.uniform(0.1, 5.0))
+                        for i, j in combinations(range(n), 2) if rng.random() < 0.5])
+
+
+def random_support_instances(rng, count):
+    """Random-factor instances: a rectangle, a sparse subset of it touching
+    every row and column, and a single pair per draw."""
+    for _ in range(count):
+        t, n = (int(v) for v in rng.integers(1, 9, size=2))
+        k_t, k_g = int(rng.integers(1, t + 1)), int(rng.integers(1, n + 1))
+        time_freqs = rng.choice(t, size=k_t, replace=False)
+        graph_freqs = rng.choice(n, size=k_g, replace=False)
+        grid = [(jt, jg) for jt in time_freqs for jg in graph_freqs]
+        sparse = {(jt, graph_freqs[i % k_g]) for i, jt in enumerate(time_freqs)}
+        sparse |= {(time_freqs[i % k_t], jg) for i, jg in enumerate(graph_freqs)}
+        for pairs in (grid, sparse, grid[:1]):
+            support = SpectralSupport(
+                t_dim=t, g_dim=n,
+                pairs=frozenset((int(jt), int(jg)) for jt, jg in pairs),
+            )
+            yield support, rng.normal(size=(t, support.k_t)), rng.normal(size=(n, support.k_g))
 
 
 if __name__ == "__main__":
@@ -139,6 +188,7 @@ if __name__ == "__main__":
            (lambda n=n: (bench.prepare_case(n, seed) for seed in range(3)))
            for n in (16, 32, 48, 64, 96, 128)},
         "README walkthrough": walkthrough,
+        "structured+ER seed 616 x6000 T,N<=12": lambda: structured_er(6000),
     }
 
     for name, draw in FAMILIES.items():

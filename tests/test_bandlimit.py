@@ -210,6 +210,25 @@ class TestSynth:
         with pytest.raises(ValueError, match="zero coefficient"):
             synth_from_restricted(ref.ut_r, ref.ug_r, ref.support, bad)
 
+    @pytest.mark.parametrize("val, message", [
+        ("1", r"^coefficient at pair \(1, 1\) must be a number, got '1'$"),
+        (True, r"^coefficient at pair \(1, 1\) must be a number, got True$"),
+        (np.bool_(True), r"^coefficient at pair \(1, 1\) must be a number, got "),
+        (float("nan"), r"^non-finite coefficient nan at pair \(1, 1\)$"),
+        (float("inf"), r"^non-finite coefficient inf at pair \(1, 1\)$"),
+        (-float("inf"), r"^non-finite coefficient -inf at pair \(1, 1\)$"),
+    ], ids=["str", "bool", "np.bool_", "nan", "inf", "-inf"])
+    def test_non_number_or_non_finite_coefficient_rejected(self, ref, val, message):
+        # float() used to read "1" and True as 1.0, and a non-finite value gave
+        # a non-finite signal with only a matmul warning
+        with pytest.raises(ValueError, match=message):
+            synth_from_restricted(ref.ut_r, ref.ug_r, ref.support, {**ref.coeffs, (1, 1): val})
+
+    def test_numpy_float_coefficients_pass(self, ref):
+        as_np = {pair: np.float64(val) for pair, val in ref.coeffs.items()}
+        x = synth_from_restricted(ref.ut_r, ref.ug_r, ref.support, ref.coeffs)
+        assert np.array_equal(synth_from_restricted(ref.ut_r, ref.ug_r, ref.support, as_np), x)
+
     @pytest.mark.parametrize("cut", ["short time basis", "tall graph basis"])
     def test_wrong_height_bases_rejected(self, ref, cut):
         # used to return a 4 x 3 (or 8 x 4) signal for the T = N = 4 support

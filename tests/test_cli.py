@@ -502,6 +502,27 @@ class TestRoundTrip:
                    "--signal", signal, "-o", detected) == 0
         assert fileio.load_support(detected) == fileio.load_support(paths["support"])
 
+    def test_analyze_signal_near_float_max(self, workspace, capsys):
+        # the walkthrough signal scaled to max|entry| 1.7e308 is finite, but its
+        # transform used to overflow with a matmul warning and keep no pair
+        tmp, paths = workspace
+        signal, big = tmp / "x.csv", tmp / "big.csv"
+        assert run("gen", "signal", "--graph-t", paths["gt"], "--graph-g", paths["gg"],
+                   "--support", paths["support"], "--seed", 9, "-o", signal) == 0
+        x = fileio.load_signal(signal)
+        fileio.save_signal(x * (1.7e308 / np.max(np.abs(x))), big)
+
+        def analyze(path):
+            out = path.with_suffix(".json")
+            capsys.readouterr()
+            assert run("analyze", "--graph-t", paths["gt"], "--graph-g", paths["gg"],
+                       "--signal", path, "-o", out) == 0
+            stdout, stderr = capsys.readouterr()
+            assert stderr == ""
+            return stdout.splitlines()[0], out.read_bytes()
+
+        assert analyze(big) == analyze(signal)
+
     def test_truncated_samples_exit_2(self, workspace, ref):
         tmp, paths = workspace
         plan = tmp / "plan.json"
@@ -1315,6 +1336,20 @@ class TestBench:
         assert run("bench", "--sizes", "8,x", "-o", out) == 2
         assert capsys.readouterr().err == "error: --sizes value 'x' is not an integer\n"
         assert not out.exists()
+
+    def test_prints_each_rows_t_and_n(self, tmp_path, capsys):
+        # a 4-cycle x 5-path instance used to print T=N=4 beside the CSV row 4,5,...
+        p = {name: tmp_path / f"{name}.json" for name in ("gt", "gg", "support")}
+        assert run("gen", "graph", "--type", "cycle", "--n", 4, "-o", p["gt"]) == 0
+        assert run("gen", "graph", "--type", "path", "--n", 5, "-o", p["gg"]) == 0
+        assert run("gen", "support", "--t", 4, "--n", 5, "--pairs", "1,1;1,2;2,2",
+                   "-o", p["support"]) == 0
+        out = tmp_path / "bench.csv"
+        capsys.readouterr()
+        assert run("bench", "--graph-t", p["gt"], "--graph-g", p["gg"], "--support",
+                   p["support"], "--repeats", 1, "-o", out) == 0
+        assert capsys.readouterr().out.startswith("T=4 N=5 K=3 samples 3 vs ")
+        assert out.read_text().splitlines()[1].startswith("4,5,")
 
     def test_explicit_instance_counts(self, workspace):
         tmp, paths = workspace

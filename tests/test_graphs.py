@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+import families
 from jtvsampling import (
     Graph,
     cartesian_laplacian,
@@ -12,21 +11,6 @@ from jtvsampling import (
     star_graph,
 )
 from jtvsampling.generate import random_connected_graph
-
-
-def random_graph_strategy(max_n=6):
-    @st.composite
-    def build(draw):
-        n = draw(st.integers(min_value=1, max_value=max_n))
-        edges = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if draw(st.booleans()):
-                    w = draw(st.floats(min_value=0.1, max_value=5.0))
-                    edges.append((i, j, w))
-        return Graph(n, tuple(edges))
-
-    return build()
 
 
 class TestGraphValidation:
@@ -94,15 +78,14 @@ class TestLaplacian:
         g = Graph(2, ((0, 1, 3.0),))
         assert np.array_equal(laplacian(g), np.array([[3.0, -3.0], [-3.0, 3.0]]))
 
-    @settings(max_examples=50, deadline=None)
-    @given(random_graph_strategy())
-    def test_laplacian_invariants(self, g):
-        lap = laplacian(g)
-        assert np.allclose(lap, lap.T, atol=1e-12)
-        assert np.allclose(lap.sum(axis=1), 0.0, atol=1e-12)
-        off = lap - np.diag(np.diag(lap))
-        assert np.all(off <= 1e-12)
-        assert np.min(np.linalg.eigvalsh(lap)) >= -1e-10
+    def test_laplacian_invariants(self):
+        for g in families.random_graphs(1, 50, max_n=6):
+            lap = laplacian(g)
+            assert np.allclose(lap, lap.T, atol=1e-12)
+            assert np.allclose(lap.sum(axis=1), 0.0, atol=1e-12)
+            off = lap - np.diag(np.diag(lap))
+            assert np.all(off <= 1e-12)
+            assert np.min(np.linalg.eigvalsh(lap)) >= -1e-10
 
 
 class TestCycleGraph:
@@ -177,15 +160,15 @@ class TestCartesianLaplacian:
         sums = np.sort(np.add.outer(lam_t, lam_g).ravel())
         assert np.allclose(np.sort(np.linalg.eigvalsh(lj)), sums, atol=1e-8)
 
-    @settings(max_examples=25, deadline=None)
-    @given(random_graph_strategy(max_n=4), random_graph_strategy(max_n=4))
-    def test_random_additivity_and_symmetry(self, g1, g2):
-        l1, l2 = laplacian(g1), laplacian(g2)
-        lj = cartesian_laplacian(l1, l2)
-        assert np.allclose(lj, lj.T, atol=1e-12)
-        assert np.allclose(lj.sum(axis=1), 0.0, atol=1e-10)
-        sums = np.sort(np.add.outer(np.linalg.eigvalsh(l1), np.linalg.eigvalsh(l2)).ravel())
-        assert np.allclose(np.sort(np.linalg.eigvalsh(lj)), sums, atol=1e-8)
+    def test_random_additivity_and_symmetry(self):
+        for g1, g2 in zip(families.random_graphs(2, 25, max_n=4),
+                          families.random_graphs(3, 25, max_n=4)):
+            l1, l2 = laplacian(g1), laplacian(g2)
+            lj = cartesian_laplacian(l1, l2)
+            assert np.allclose(lj, lj.T, atol=1e-12)
+            assert np.allclose(lj.sum(axis=1), 0.0, atol=1e-10)
+            sums = np.sort(np.add.outer(np.linalg.eigvalsh(l1), np.linalg.eigvalsh(l2)).ravel())
+            assert np.allclose(np.sort(np.linalg.eigvalsh(lj)), sums, atol=1e-8)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):

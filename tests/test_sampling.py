@@ -329,6 +329,16 @@ class TestRankAgainstBasisScale:
                         reconstruct_coefficients(np.ones(support.k), plan, uj, support)
 
 
+def test_structured_er_plans_are_qualified_and_repeatable():
+    # the first 300 of the family's 6,000 draws, taken by count; whether a
+    # plan is critical is item 6's question, so it is not asserted here
+    for basis in families.structured_er(300):
+        plan, report = critical_sampling_set(basis.ut_r, basis.ug_r, basis, basis.support)
+        assert report.qualified and plan.size == basis.support.k
+        assert critical_sampling_set(basis.ut_r, basis.ug_r, basis,
+                                     basis.support) == (plan, report)
+
+
 SAMPLED_BLOCK_USES = pytest.mark.parametrize("use", [
     qualify,
     lambda plan, uj, support: reconstruct_coefficients(np.ones(3), plan, uj, support),
@@ -383,8 +393,12 @@ def with_nan(mat):
                                               r.support),
     lambda r, plan, uj: separate_sampling(r.ut_r, with_nan(r.ug_r)),
     lambda r, plan, uj: max_lin_indep_rows(with_nan(uj)),
+    lambda r, plan, uj: oracle.exhaustive_check(with_nan(uj), r.support),
+    lambda r, plan, uj: oracle.check_monotonicity(np.full_like(uj, -np.inf), 1,
+                                                  np.random.default_rng(0)),
 ], ids=["qualify", "qualify JointBasis", "reconstruct", "critical_sampling_set inf",
-        "separate_sampling", "max_lin_indep_rows"])
+        "separate_sampling", "max_lin_indep_rows", "exhaustive_check",
+        "check_monotonicity -inf"])
 def test_non_finite_basis_is_an_input_error(ref, call):
     # refused where the basis's scale is taken; a NaN scale used to rank every
     # block 0 (qualify's rank 0, reconstruct's UnqualifiedPlanError, step 1's

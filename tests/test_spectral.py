@@ -17,10 +17,6 @@ from jtvsampling import bench, spectral
 from jtvsampling.generate import random_connected_graph
 
 
-def random_laplacian(n, rng):
-    return laplacian(random_connected_graph(n, rng))
-
-
 class TestEigSym:
     def test_star_spectrum(self, ref):
         basis = eig_sym(ref.l_graph)
@@ -100,7 +96,7 @@ class TestEigSym:
     @pytest.mark.parametrize("n", [5, 12, 30])
     def test_reconstruction_and_orthonormality(self, n):
         rng = np.random.default_rng(n)
-        lap = random_laplacian(n, rng)
+        lap = laplacian(random_connected_graph(n, rng))
         basis = eig_sym(lap)
         rebuilt = basis.vectors @ np.diag(basis.values) @ basis.vectors.T
         assert np.max(np.abs(lap - rebuilt)) < 1e-8
@@ -153,25 +149,6 @@ class TestJft:
         assert abs(np.linalg.norm(ref.x) - np.linalg.norm(block)) < 1e-3
 
 
-def random_support_instances(rng, count):
-    """Random-factor instances: a rectangle, a sparse subset of it touching
-    every row and column, and a single pair per draw."""
-    for _ in range(count):
-        t, n = (int(v) for v in rng.integers(1, 9, size=2))
-        k_t, k_g = int(rng.integers(1, t + 1)), int(rng.integers(1, n + 1))
-        time_freqs = rng.choice(t, size=k_t, replace=False)
-        graph_freqs = rng.choice(n, size=k_g, replace=False)
-        grid = [(jt, jg) for jt in time_freqs for jg in graph_freqs]
-        sparse = {(jt, graph_freqs[i % k_g]) for i, jt in enumerate(time_freqs)}
-        sparse |= {(time_freqs[i % k_t], jg) for i, jg in enumerate(graph_freqs)}
-        for pairs in (grid, sparse, grid[:1]):
-            support = SpectralSupport(
-                t_dim=t, g_dim=n,
-                pairs=frozenset((int(jt), int(jg)) for jt, jg in pairs),
-            )
-            yield support, rng.normal(size=(t, support.k_t)), rng.normal(size=(n, support.k_g))
-
-
 class TestJointBasisColumns:
     def test_reference_product_rows(self, ref):
         uj = joint_columns_from_restricted(ref.ut_r, ref.ug_r, ref.support)
@@ -209,7 +186,7 @@ class TestJointBasisColumns:
         # one broadcast builds every column; each must equal, bit for bit, the
         # Kronecker product of its restricted time and graph columns
         rng = np.random.default_rng(13)
-        for support, ut_r, ug_r in random_support_instances(rng, 40):
+        for support, ut_r, ug_r in families.random_support_instances(rng, 40):
             tpos = {f: i for i, f in enumerate(support.time_freqs)}
             gpos = {f: i for i, f in enumerate(support.graph_freqs)}
             expected = np.column_stack([
@@ -257,7 +234,7 @@ class TestJointBasis:
 
     def test_rows_match_dense_columns_bit_for_bit(self):
         rng = np.random.default_rng(17)
-        for support, ut_r, ug_r in random_support_instances(rng, 40):
+        for support, ut_r, ug_r in families.random_support_instances(rng, 40):
             uj = joint_columns_from_restricted(ut_r, ug_r, support)
             idx = [*rng.permutation(len(uj)), *rng.integers(0, len(uj), size=3)]
             rows = JointBasis(ut_r, ug_r, support).rows(idx)
@@ -266,7 +243,7 @@ class TestJointBasis:
 
     def test_synth_matches_dense_product(self):
         rng = np.random.default_rng(19)
-        for support, ut_r, ug_r in random_support_instances(rng, 40):
+        for support, ut_r, ug_r in families.random_support_instances(rng, 40):
             uj = joint_columns_from_restricted(ut_r, ug_r, support)
             coeffs = rng.normal(size=support.k)
             x = (uj @ coeffs).reshape((support.g_dim, support.t_dim), order="F")
@@ -283,7 +260,7 @@ class TestJointBasis:
 
     def test_scale_of_random_factors_bit_for_bit(self):
         rng = np.random.default_rng(23)
-        for support, ut_r, ug_r in random_support_instances(rng, 40):
+        for support, ut_r, ug_r in families.random_support_instances(rng, 40):
             basis = JointBasis(ut_r, ug_r, support)
             assert basis.scale == np.abs(basis.dense()).max()
 
