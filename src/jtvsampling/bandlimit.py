@@ -127,7 +127,8 @@ def synth_from_restricted(ut_r: np.ndarray, ug_r: np.ndarray,
     must be (T, K_T) and (N, K_G): :meth:`JointBasis.synth` of the coefficients
     in the support's canonical pair order. A coefficient must be a number by
     the rule of a graph weight (a bool or a string is refused), finite and
-    not zero; the first one that is not, in the dict's order, is refused."""
+    not zero; the first one that is not, in the dict's order, is refused, and
+    so is a signal with an entry past the float range."""
     basis = JointBasis(ut_r, ug_r, support)
     if set(coeffs) != support.pairs:
         raise ValueError("coefficients must be keyed exactly by the support pairs")
@@ -140,7 +141,11 @@ def synth_from_restricted(ut_r: np.ndarray, ug_r: np.ndarray,
             raise ValueError(f"zero coefficient at pair ({jt}, {jg}) would silently "
                              "shrink the bandwidth")
         values[jt, jg] = val
-    return basis.synth(np.array([values[p] for p in support.sorted_pairs]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_mat = basis.synth(np.array([values[p] for p in support.sorted_pairs]))
+    if not np.isfinite(x_mat).all():
+        raise ValueError("synthesized signal overflows the float range")
+    return x_mat
 
 
 def synth_signal(basis_t: EigenBasis, basis_g: EigenBasis,

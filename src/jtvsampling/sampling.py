@@ -112,6 +112,15 @@ def _as_matrix(mat) -> np.ndarray:
     return mat
 
 
+def _unit_scaled(rows: np.ndarray, scale: float):
+    """``rows`` and the cut ``RANK_TOL * scale``, both times the power of two
+    that brings ``scale``, the max |entry| of the rows' basis, into [0.5, 1).
+    Exact for normal floats, so no pick moves, while no square of an entry
+    under- or overflows: the selection does not depend on the basis's size."""
+    exp = -np.frexp(scale)[1]
+    return np.ldexp(rows, exp), RANK_TOL * np.ldexp(scale, exp)
+
+
 def max_lin_indep_rows(mat: np.ndarray) -> list:
     """Naive reference scan: a maximal independent row set, lowest index first.
 
@@ -121,7 +130,7 @@ def max_lin_indep_rows(mat: np.ndarray) -> list:
     covers every row, so the result is maximal and deterministic.
     """
     mat = _as_matrix(mat)
-    cut = RANK_TOL * _max_abs(mat)
+    mat, cut = _unit_scaled(mat, _max_abs(mat))
     norms = np.linalg.norm(mat, axis=1)
     basis = np.empty((mat.shape[1], mat.shape[1]))
     selected = []
@@ -148,7 +157,7 @@ def _coverage_first_rows(rows: np.ndarray, n_g: int, scale: float) -> list:
     With ``n_g = 1`` (one factor) all live rows tie on coverage at every pick.
     """
     n_rows, n_cols = rows.shape
-    cut = RANK_TOL * scale
+    rows, cut = _unit_scaled(rows, scale)
     resid2 = np.einsum("ij,ij->i", rows, rows)
     live = np.sqrt(resid2) > cut  # a row at or below the cut is never accepted
     new_t, new_g = np.ones(n_rows // n_g, dtype=int), np.ones(n_g, dtype=int)

@@ -99,7 +99,8 @@ class JointBasis:
     frequencies. The N*T x K matrix is formed only by :meth:`dense`; its max
     |entry|, :attr:`scale`, is what a sampled block's rank is measured
     against. Raises ``ValueError`` unless ``ut_r`` is (T, K_T) and ``ug_r``
-    is (N, K_G).
+    is (N, K_G), on a NaN or infinite factor entry, and on finite factors
+    whose joint basis has an entry past the float range.
     """
 
     def __init__(self, ut_r: np.ndarray, ug_r: np.ndarray, support):
@@ -115,6 +116,15 @@ class JointBasis:
         pairs = support.sorted_pairs
         self._ti = np.array([tpos[jt] for jt, _ in pairs], dtype=np.intp)
         self._gi = np.array([gpos[jg] for _, jg in pairs], dtype=np.intp)
+        # np.abs(self.dense()).max() from the factors' column maxima, bit for
+        # bit: |a * b| rounds as |a| * |b|, and rounding is monotone. A column
+        # maximum is NaN or infinite exactly when its column holds such an entry
+        top_t, top_g = np.abs(ut_r).max(axis=0), np.abs(ug_r).max(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            tops = top_t[self._ti] * top_g[self._gi]
+        if np.isinf(tops).any() and np.isfinite(top_t).all() and np.isfinite(top_g).all():
+            raise ValueError("joint basis entries overflow the float range")
+        self.scale = _max_abs(tops)
 
     def dense(self) -> np.ndarray:
         """The (T*N, K) matrix itself, in one broadcast: column k is the
@@ -123,14 +133,6 @@ class JointBasis:
         # the reshape is np.kron(ut_r[:, ti[k]], ug_r[:, gi[k]])[t * N + v]
         return (self.ut_r[:, None, self._ti] * self.ug_r[None, :, self._gi]).reshape(
             -1, self.support.k)
-
-    @property
-    def scale(self) -> float:
-        """``np.abs(self.dense()).max()`` from the factors' column maxima, bit
-        for bit: |a * b| rounds as |a| * |b|, and rounding is monotone.
-        ``ValueError`` if a factor holds a NaN or infinite entry."""
-        top_t, top_g = np.abs(self.ut_r).max(axis=0), np.abs(self.ug_r).max(axis=0)
-        return _max_abs(top_t[self._ti] * top_g[self._gi])
 
     def rows(self, idx) -> np.ndarray:
         """Rows at linear indices ``t * N + v``, in the order given; the same

@@ -224,6 +224,15 @@ class TestSynth:
         with pytest.raises(ValueError, match=message):
             synth_from_restricted(ref.ut_r, ref.ug_r, ref.support, {**ref.coeffs, (1, 1): val})
 
+    def test_overflowing_signal_rejected(self):
+        # two slots x one vertex, both coefficients 1.7e308 on a basis of max
+        # |entry| 1: slot 0 sums to 3.4e308, which used to be returned as inf
+        # with a matmul warning
+        support = SpectralSupport(t_dim=2, g_dim=1, pairs=frozenset({(0, 0), (1, 0)}))
+        with pytest.raises(ValueError, match="^synthesized signal overflows the float range$"):
+            synth_from_restricted(np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([[1.0]]),
+                                  support, {(0, 0): 1.7e308, (1, 0): 1.7e308})
+
     def test_numpy_float_coefficients_pass(self, ref):
         as_np = {pair: np.float64(val) for pair, val in ref.coeffs.items()}
         x = synth_from_restricted(ref.ut_r, ref.ug_r, ref.support, ref.coeffs)

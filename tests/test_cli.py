@@ -21,25 +21,38 @@ def run(*args):
     return main([str(a) for a in args])
 
 
+def instance(tmp, time, graph, support):
+    """Write ``gt.json``, ``gg.json`` and ``support.json`` under ``tmp`` through
+    ``jtv gen`` and return their ``--graph-t``, ``--graph-g`` and ``--support``
+    argv. ``time`` and ``graph`` are ``(type, n, *flags)`` of ``gen graph``;
+    ``support`` is the ``--pairs`` text, or the ``--kt`` / ``--kg`` / ``--k`` /
+    ``--seed`` flags of a drawn support."""
+    gt, gg, sup = (tmp / name for name in ("gt.json", "gg.json", "support.json"))
+    for (kind, n, *flags), path in ((time, gt), (graph, gg)):
+        assert run("gen", "graph", "--type", kind, "--n", n, *flags, "-o", path) == 0
+    given = ["--pairs", support] if isinstance(support, str) else support
+    assert run("gen", "support", "--t", time[1], "--n", graph[1], *given, "-o", sup) == 0
+    return ["--graph-t", gt, "--graph-g", gg, "--support", sup]
+
+
+def pipeline(tmp, inputs, seed=9):
+    """Paths of ``x.csv``, ``plan.json`` and ``samples.csv`` under ``tmp``,
+    written by ``gen signal --seed seed``, ``plan`` and ``sample`` on the
+    instance argv ``inputs``."""
+    x, plan, samples = (tmp / name for name in ("x.csv", "plan.json", "samples.csv"))
+    assert run("gen", "signal", *inputs, "--seed", seed, "-o", x) == 0
+    assert run("plan", *inputs, "-o", plan) == 0
+    assert run("sample", "--signal", x, "--plan", plan, "-o", samples) == 0
+    return x, plan, samples
+
+
 @pytest.fixture
 def workspace(tmp_path, ref):
-    """Graph, support, and basis files for the 4x4 worked instance."""
-    paths = {
-        "gt": tmp_path / "gt.json",
-        "gg": tmp_path / "gg.json",
-        "support": tmp_path / "support.json",
-        "basis": tmp_path / "basis.json",
-    }
-    assert run("gen", "graph", "--type", "cycle", "--n", 4, "-o", paths["gt"]) == 0
-    assert (
-        run("gen", "graph", "--type", "star", "--n", 4, "--center", 1, "-o", paths["gg"])
-        == 0
-    )
-    assert (
-        run("gen", "support", "--t", 4, "--n", 4, "--pairs", "1,1;1,2;2,2",
-            "-o", paths["support"])
-        == 0
-    )
+    """Graph, support, and basis files for the 4x4 worked instance, with its
+    instance argv (``instance``) and graph argv (``graphs``)."""
+    inputs = instance(tmp_path, ("cycle", 4), ("star", 4, "--center", 1), "1,1;1,2;2,2")
+    paths = {"gt": inputs[1], "gg": inputs[3], "support": inputs[5],
+             "basis": tmp_path / "basis.json", "instance": inputs, "graphs": inputs[:4]}
     fileio.save_basis_pair(ref.ut_r, ref.ug_r, paths["basis"])
     return tmp_path, paths
 
@@ -186,8 +199,7 @@ class TestGen:
             raise AssertionError("gen signal built the joint basis")
 
         monkeypatch.setattr(spectral.JointBasis, "dense", refuse)
-        for bases in (["--basis-file", paths["basis"]],
-                      ["--graph-t", paths["gt"], "--graph-g", paths["gg"]]):
+        for bases in (["--basis-file", paths["basis"]], paths["graphs"]):
             assert run("gen", "signal", "--support", paths["support"], *bases,
                        "-o", tmp / "x.csv") == 0
 
@@ -223,10 +235,7 @@ class TestSharedInputs:
         inputs = ["--support", paths["support"], "--basis-file", basis]
         if name == "reconstruct":
             good = ["--support", paths["support"], "--basis-file", paths["basis"]]
-            signal, plan, samples = tmp / "x.csv", tmp / "plan.json", tmp / "samples.csv"
-            assert run("gen", "signal", *good, "-o", signal) == 0
-            assert run("plan", *good, "-o", plan) == 0
-            assert run("sample", "--signal", signal, "--plan", plan, "-o", samples) == 0
+            _, plan, samples = pipeline(tmp, good, seed=0)
             return ["reconstruct", *inputs, "--plan", plan, "--samples", samples]
         if name == "bench":
             return ["bench", *inputs, "--repeats", 1]
@@ -257,12 +266,28 @@ class TestSharedInputs:
         argv = self.basis_command(name, tmp, paths, paths["basis"])
         flags = {"graph-t": ["--graph-t", tmp / "missing.json"],
                  "graph-g": ["--graph-g", tmp / "missing.json"],
-                 "both": ["--graph-t", paths["gt"], "--graph-g", paths["gg"]]}[graphs]
+                 "both": paths["graphs"]}[graphs]
         capsys.readouterr()
         out = tmp / "out.txt"
         assert run(*argv, *flags, "-o", out) == 2
         given = flags[0] if graphs != "both" else "--graph-t, --graph-g"
         assert capsys.readouterr().err == f"error: {given} cannot be given with --basis-file\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["gen signal", "plan", "reconstruct", "verify", "bench"])
+    def test_overflowing_basis_file_exit_2(self, workspace, ref, capsys, name):
+        # each factor times 2**520: finite entries whose products, the joint
+        # basis's entries, reach 2**1040. gen signal used to write a signal of
+        # infinities with exit 0, and the others to refuse NaN or infinite
+        # entries that the file does not hold, after overflow warnings
+        tmp, paths = workspace
+        basis = tmp / "big_basis.json"
+        fileio.save_basis_pair(np.ldexp(ref.ut_r, 520), np.ldexp(ref.ug_r, 520), basis)
+        argv = self.basis_command(name, tmp, paths, basis)
+        capsys.readouterr()
+        out = tmp / "out.txt"
+        assert run(*argv, "-o", out) == 2
+        assert capsys.readouterr().err == "error: joint basis entries overflow the float range\n"
         assert not out.exists()
 
     SEEDED = {
@@ -382,21 +407,17 @@ class TestPlan:
     def test_with_computed_basis(self, workspace):
         tmp, paths = workspace
         out = tmp / "plan.json"
-        code = run("plan", "--graph-t", paths["gt"], "--graph-g", paths["gg"],
-                   "--support", paths["support"], "-o", out)
+        code = run("plan", *paths["instance"], "-o", out)
         assert code == 0
         data = json.loads(out.read_text())
         assert data["K"] == 3 and data["K_T"] == 2 and data["K_G"] == 2
         assert data["critical"] is True
 
-    def test_full_support_plan(self, workspace):
-        tmp, paths = workspace
-        full = tmp / "full.json"
+    def test_full_support_plan(self, tmp_path):
         pairs = ";".join(f"{jt},{jg}" for jt in range(4) for jg in range(4))
-        assert run("gen", "support", "--t", 4, "--n", 4, "--pairs", pairs, "-o", full) == 0
-        out = tmp / "plan.json"
-        assert run("plan", "--graph-t", paths["gt"], "--graph-g", paths["gg"],
-                   "--support", full, "-o", out) == 0
+        inputs = instance(tmp_path, ("cycle", 4), ("star", 4, "--center", 1), pairs)
+        out = tmp_path / "plan.json"
+        assert run("plan", *inputs, "-o", out) == 0
         data = json.loads(out.read_text())
         assert len(data["samples"]) == 16
 
@@ -475,31 +496,38 @@ class TestRoundTrip:
 
     def test_synthesized_signal_round_trip(self, workspace):
         tmp, paths = workspace
-        signal = tmp / "x.csv"
-        assert run("gen", "signal", "--graph-t", paths["gt"], "--graph-g", paths["gg"],
-                   "--support", paths["support"], "--seed", 9, "-o", signal) == 0
-        plan = tmp / "plan.json"
-        assert run("plan", "--graph-t", paths["gt"], "--graph-g", paths["gg"],
-                   "--support", paths["support"], "--schedule", tmp / "s.txt",
-                   "-o", plan) == 0
-        samples = tmp / "samples.csv"
-        assert run("sample", "--signal", signal, "--plan", plan, "-o", samples) == 0
+        signal, plan, samples = pipeline(tmp, paths["instance"])
         recon = tmp / "recon.csv"
-        assert run("reconstruct", "--graph-t", paths["gt"], "--graph-g", paths["gg"],
-                   "--support", paths["support"], "--plan", plan, "--samples", samples,
+        assert run("reconstruct", *paths["instance"], "--plan", plan, "--samples", samples,
                    "--reference", signal, "-o", recon) == 0
         x = fileio.load_signal(signal)
         x_rec = fileio.load_signal(recon)
         assert np.max(np.abs(x - x_rec)) < 1e-8
 
+    @pytest.mark.parametrize("exp", [-300, 300])
+    def test_scaled_basis_file_round_trip(self, workspace, ref, exp):
+        # each factor times 2**exp: the plan is the unscaled basis file's, and
+        # the signal it synthesizes reconstructs; at 2**-300 plan used to exit
+        # 3 (step 3: product rows have rank 0 < 3), at 2**300 it warned of
+        # overflow and wrote another plan
+        tmp, paths = workspace
+        assert run("plan", "--support", paths["support"], "--basis-file", paths["basis"],
+                   "-o", tmp / "unscaled.json") == 0
+        basis = tmp / "scaled_basis.json"
+        fileio.save_basis_pair(np.ldexp(ref.ut_r, exp), np.ldexp(ref.ug_r, exp), basis)
+        inputs = ["--support", paths["support"], "--basis-file", basis]
+        x, plan, samples = pipeline(tmp, inputs)
+        assert (json.loads(plan.read_text())["samples"]
+                == json.loads((tmp / "unscaled.json").read_text())["samples"])
+        assert run("reconstruct", *inputs, "--plan", plan, "--samples", samples,
+                   "--reference", x, "-o", tmp / "r.csv") == 0
+
     def test_analyze_detects_support(self, workspace):
         tmp, paths = workspace
         signal = tmp / "x.csv"
-        assert run("gen", "signal", "--graph-t", paths["gt"], "--graph-g", paths["gg"],
-                   "--support", paths["support"], "--seed", 2, "-o", signal) == 0
+        assert run("gen", "signal", *paths["instance"], "--seed", 2, "-o", signal) == 0
         detected = tmp / "detected.json"
-        assert run("analyze", "--graph-t", paths["gt"], "--graph-g", paths["gg"],
-                   "--signal", signal, "-o", detected) == 0
+        assert run("analyze", *paths["graphs"], "--signal", signal, "-o", detected) == 0
         assert fileio.load_support(detected) == fileio.load_support(paths["support"])
 
     def test_analyze_signal_near_float_max(self, workspace, capsys):
@@ -507,16 +535,14 @@ class TestRoundTrip:
         # transform used to overflow with a matmul warning and keep no pair
         tmp, paths = workspace
         signal, big = tmp / "x.csv", tmp / "big.csv"
-        assert run("gen", "signal", "--graph-t", paths["gt"], "--graph-g", paths["gg"],
-                   "--support", paths["support"], "--seed", 9, "-o", signal) == 0
+        assert run("gen", "signal", *paths["instance"], "--seed", 9, "-o", signal) == 0
         x = fileio.load_signal(signal)
         fileio.save_signal(x * (1.7e308 / np.max(np.abs(x))), big)
 
         def analyze(path):
             out = path.with_suffix(".json")
             capsys.readouterr()
-            assert run("analyze", "--graph-t", paths["gt"], "--graph-g", paths["gg"],
-                       "--signal", path, "-o", out) == 0
+            assert run("analyze", *paths["graphs"], "--signal", path, "-o", out) == 0
             stdout, stderr = capsys.readouterr()
             assert stderr == ""
             return stdout.splitlines()[0], out.read_bytes()
@@ -534,33 +560,43 @@ class TestRoundTrip:
                    "--basis-file", paths["basis"], "--plan", plan,
                    "--samples", bad, "-o", tmp / "r.csv") == 2
 
-    def reconstruct_with_samples(self, workspace, edit, reference=True):
-        """Exit code of ``reconstruct`` (with ``--reference`` unless told
-        otherwise) after ``edit`` rewrote the value column of the samples file."""
+    def reconstruct_after(self, workspace, edit, reference=False):
+        """Exit code of ``reconstruct`` (with ``--reference x.csv`` if asked)
+        after ``edit`` changed the pipeline's files, and whether it wrote its
+        output. ``edit`` gets the paths of ``x.csv``, ``plan.json`` and
+        ``samples.csv``, keyed by name."""
         tmp, paths = workspace
-        graphs = ["--graph-t", paths["gt"], "--graph-g", paths["gg"]]
-        signal, plan, samples = tmp / "x.csv", tmp / "plan.json", tmp / "samples.csv"
-        assert run("gen", "signal", *graphs, "--support", paths["support"],
-                   "--seed", 9, "-o", signal) == 0
-        assert run("plan", *graphs, "--support", paths["support"], "-o", plan) == 0
-        assert run("sample", "--signal", signal, "--plan", plan, "-o", samples) == 0
-        rows = [line.rsplit(",", 1) for line in samples.read_text().split()]
-        values = edit([value for _, value in rows])
-        samples.write_text("".join(f"{p},{v}\n" for (p, _), v in zip(rows, values)))
-        check = ["--reference", signal] if reference else []
-        return run("reconstruct", *graphs, "--support", paths["support"], "--plan", plan,
-                   "--samples", samples, *check, "-o", tmp / "r.csv")
+        names = ("x.csv", "plan.json", "samples.csv")
+        files = dict(zip(names, pipeline(tmp, paths["instance"])))
+        edit(files)
+        check = ["--reference", files["x.csv"]] if reference else []
+        out = tmp / "r.csv"
+        code = run("reconstruct", *paths["instance"], "--plan", files["plan.json"],
+                   "--samples", files["samples.csv"], *check, "-o", out)
+        return code, out.exists()
+
+    @staticmethod
+    def values(edit):
+        """An edit of the pipeline's files: ``edit`` rewrites the value column
+        of the samples file."""
+        def rewrite(files):
+            samples = files["samples.csv"]
+            rows = [line.rsplit(",", 1) for line in samples.read_text().split()]
+            values = edit([value for _, value in rows])
+            samples.write_text("".join(f"{p},{v}\n" for (p, _), v in zip(rows, values)))
+        return rewrite
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
     def test_non_finite_samples_exit_2(self, workspace, bad):
-        assert self.reconstruct_with_samples(workspace, lambda v: [bad] + v[1:]) == 2
+        edit = self.values(lambda v: [bad] + v[1:])
+        assert self.reconstruct_after(workspace, edit, reference=True)[0] == 2
 
     def test_huge_reconstruction_error_fails_reference_check(self, workspace):
         # these samples reconstruct to a finite signal of size about 1e308, so
         # the max-abs error against x.csv is a finite 1e308 or so, far above
         # the tolerance, and --reference must refuse it
         huge = lambda v: ["1e308", "-1e308", "1e308"][: len(v)]
-        assert self.reconstruct_with_samples(workspace, huge) == 3
+        assert self.reconstruct_after(workspace, self.values(huge), reference=True)[0] == 3
 
     def test_exact_zero_reconstruction_passes_reference_check(self, workspace, capsys):
         # error 0 against an all-zero reference of norm 0 used to fail the
@@ -583,7 +619,7 @@ class TestRoundTrip:
         # inf / NaN signal is written when there is no reference to compare
         tmp, _ = workspace
         huge = lambda v: ["1.7e308", "-1.7e308", "1.7e308"][: len(v)]
-        assert self.reconstruct_with_samples(workspace, huge, reference=False) == 3
+        assert self.reconstruct_after(workspace, self.values(huge))[0] == 3
         assert not (tmp / "r.csv").exists()
 
     def test_huge_representable_samples_reconstruct(self, workspace):
@@ -594,8 +630,7 @@ class TestRoundTrip:
         # for c = s * block^-1 (1, -1, 1): s is 1e308, or less if c or the
         # signal it synthesizes would come within 1% of the float limit
         tmp, paths = workspace
-        inputs = ["--graph-t", paths["gt"], "--graph-g", paths["gg"],
-                  "--support", paths["support"]]
+        inputs = paths["instance"]
         plan_path, samples, out = tmp / "plan.json", tmp / "samples.csv", tmp / "r.csv"
         assert run("plan", *inputs, "-o", plan_path) == 0
         plan = fileio.load_plan(plan_path)
@@ -615,28 +650,6 @@ class TestRoundTrip:
         for x_rec in (fileio.load_signal(out),
                       sampling.reconstruct(values, plan, basis, support)):
             assert np.allclose(sampling.sample(x_rec, plan), values, rtol=1e-12, atol=0)
-
-    def reconstruct_after(self, workspace, edit, reference=False):
-        """Exit code of ``reconstruct`` (with ``--reference x.csv`` if asked)
-        after ``edit`` changed the pipeline's files, and whether it wrote its
-        output. ``edit`` gets the paths of ``x.csv``, ``plan.json`` and
-        ``samples.csv``."""
-        tmp, paths = workspace
-        graphs = ["--graph-t", paths["gt"], "--graph-g", paths["gg"]]
-        files = {name: tmp / name for name in ("x.csv", "plan.json", "samples.csv")}
-        assert run("gen", "signal", *graphs, "--support", paths["support"],
-                   "--seed", 9, "-o", files["x.csv"]) == 0
-        assert run("plan", *graphs, "--support", paths["support"],
-                   "-o", files["plan.json"]) == 0
-        assert run("sample", "--signal", files["x.csv"], "--plan", files["plan.json"],
-                   "-o", files["samples.csv"]) == 0
-        edit(files)
-        check = ["--reference", files["x.csv"]] if reference else []
-        out = tmp / "r.csv"
-        code = run("reconstruct", *graphs, "--support", paths["support"],
-                   "--plan", files["plan.json"], "--samples", files["samples.csv"],
-                   *check, "-o", out)
-        return code, out.exists()
 
     @staticmethod
     def rewrite(path, old, new):
@@ -712,30 +725,19 @@ class TestRoundTrip:
         # 32-cycle x 32-vertex ER graph, K = 54: a lowest-index step-3 scan
         # gave this plan cond 6.4e10 and a max-abs error of 7.6e-6, above the
         # 1e-6 * ||x||_F = 7.35e-6 that --reference allows
-        p = lambda name: tmp_path / name
         seed = 2711932562
-        graphs = ["--graph-t", p("gt.json"), "--graph-g", p("gg.json")]
-        assert run("gen", "graph", "--type", "cycle", "--n", 32, "-o", p("gt.json")) == 0
-        assert run("gen", "graph", "--type", "er", "--n", 32, "--seed", seed,
-                   "-o", p("gg.json")) == 0
-        assert run("gen", "support", "--t", 32, "--n", 32, "--kt", 8, "--kg", 8,
-                   "--seed", seed, "-o", p("support.json")) == 0
-        assert fileio.load_support(p("support.json")).k == 54
-        assert run("gen", "signal", *graphs, "--support", p("support.json"),
-                   "--seed", seed, "-o", p("x.csv")) == 0
-        assert run("plan", *graphs, "--support", p("support.json"), "-o", p("plan.json")) == 0
-        assert run("sample", "--signal", p("x.csv"), "--plan", p("plan.json"),
-                   "-o", p("samples.csv")) == 0
-        assert run("reconstruct", *graphs, "--support", p("support.json"),
-                   "--plan", p("plan.json"), "--samples", p("samples.csv"),
-                   "--reference", p("x.csv"), "-o", p("x_rec.csv")) == 0
+        inputs = instance(tmp_path, ("cycle", 32), ("er", 32, "--seed", seed),
+                          ("--kt", 8, "--kg", 8, "--seed", seed))
+        assert fileio.load_support(inputs[5]).k == 54
+        x, plan, samples = pipeline(tmp_path, inputs, seed=seed)
+        assert run("reconstruct", *inputs, "--plan", plan, "--samples", samples,
+                   "--reference", x, "-o", tmp_path / "x_rec.csv") == 0
 
     def test_byte_identical_outputs(self, workspace):
         tmp, paths = workspace
         a, b = tmp / "a.csv", tmp / "b.csv"
         for out in (a, b):
-            assert run("gen", "signal", "--graph-t", paths["gt"], "--graph-g", paths["gg"],
-                       "--support", paths["support"], "--seed", 3, "-o", out) == 0
+            assert run("gen", "signal", *paths["instance"], "--seed", 3, "-o", out) == 0
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -760,8 +762,7 @@ class TestMalformedInputs:
         paths["support"].write_text(json.dumps({"T": 4, "N": 4,
                                                  "pairs": [[1, 1], [2, 2], [1, 1]]}))
         out = tmp / "plan.json"
-        code = run("plan", "--graph-t", paths["gt"], "--graph-g", paths["gg"],
-                   "--support", paths["support"], "-o", out)
+        code = run("plan", *paths["instance"], "-o", out)
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: malformed support file {paths['support']}: pair (1, 1) is given twice\n")
@@ -783,8 +784,7 @@ class TestMalformedInputs:
         # the plan used to be written before its schedule was opened
         tmp, paths = workspace
         out, schedule = tmp / "plan.json", tmp / "missing" / "s.txt"
-        code = run("plan", "--graph-t", paths["gt"], "--graph-g", paths["gg"],
-                   "--support", paths["support"], "--schedule", schedule, "-o", out)
+        code = run("plan", *paths["instance"], "--schedule", schedule, "-o", out)
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: [Errno 2] No such file or directory: '{schedule}'\n")
@@ -799,8 +799,7 @@ class TestMalformedInputs:
         out, schedule = tmp / "missing" / "plan.json", tmp / "s.txt"
         if before is not None:
             schedule.write_text(before)
-        code = run("plan", "--graph-t", paths["gt"], "--graph-g", paths["gg"],
-                   "--support", paths["support"], "--schedule", schedule, "-o", out)
+        code = run("plan", *paths["instance"], "--schedule", schedule, "-o", out)
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: [Errno 2] No such file or directory: '{out}'\n")
@@ -817,8 +816,7 @@ class TestMalformedInputs:
             schedule.symlink_to(out)
         if before is not None:
             out.write_text(before)
-        code = run("plan", "--graph-t", paths["gt"], "--graph-g", paths["gg"],
-                   "--support", paths["support"], "--schedule", schedule, "-o", out)
+        code = run("plan", *paths["instance"], "--schedule", schedule, "-o", out)
         assert code == 2
         assert capsys.readouterr().err == "error: --schedule and -o name one file\n"
         assert (out.read_text() if out.exists() else None) == before
@@ -830,8 +828,7 @@ class TestMalformedInputs:
         signal, out = tmp / "x.csv", tmp / "missing" / "found.json"
         fileio.save_signal(ref.x, signal)
         capsys.readouterr()
-        code = run("analyze", "--graph-t", paths["gt"], "--graph-g", paths["gg"],
-                   "--signal", signal, "--out", out)
+        code = run("analyze", *paths["graphs"], "--signal", signal, "--out", out)
         assert code == 2
         assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: '{out}'\n")
 
@@ -839,8 +836,7 @@ class TestMalformedInputs:
         tmp, paths = workspace
         data = json.loads(paths["gg"].read_text())
         paths["gg"].write_text(json.dumps({**data, "n": 4.9}))
-        code = run("plan", "--graph-t", paths["gt"], "--graph-g", paths["gg"],
-                   "--support", paths["support"], "-o", tmp / "plan.json")
+        code = run("plan", *paths["instance"], "-o", tmp / "plan.json")
         assert code == 2
         assert "vertex count must be an integer, got 4.9" in capsys.readouterr().err
 
@@ -849,8 +845,7 @@ class TestMalformedInputs:
         tmp, paths = workspace
         signal = tmp / "x.csv"
         fileio.save_signal(ref.x, signal)
-        code = run("analyze", "--graph-t", paths["gt"], "--graph-g", paths["gg"],
-                   "--signal", signal, "--eps", eps)
+        code = run("analyze", *paths["graphs"], "--signal", signal, "--eps", eps)
         assert code == 2
         assert capsys.readouterr().err == f"error: threshold eps must be finite, got {eps}\n"
 
@@ -863,8 +858,7 @@ class TestMalformedInputs:
         tmp, paths = workspace
         data = json.loads(paths[key].read_text())
         paths[key].write_text(json.dumps({**data, field: True}))
-        code = run("plan", "--graph-t", paths["gt"], "--graph-g", paths["gg"],
-                   "--support", paths["support"], "-o", tmp / "plan.json")
+        code = run("plan", *paths["instance"], "-o", tmp / "plan.json")
         assert code == 2
         err = capsys.readouterr().err
         assert f"malformed {kind} file {paths[key]}: {what} must be an integer, got True" in err
@@ -872,8 +866,7 @@ class TestMalformedInputs:
     def test_json_syntax_error_names_the_file_exit_2(self, workspace, capsys):
         tmp, paths = workspace
         paths["gg"].write_text("{not json")
-        code = run("plan", "--graph-t", paths["gt"], "--graph-g", paths["gg"],
-                   "--support", paths["support"], "-o", tmp / "plan.json")
+        code = run("plan", *paths["instance"], "-o", tmp / "plan.json")
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: malformed graph file {paths['gg']}: Expecting property name "
@@ -883,8 +876,7 @@ class TestMalformedInputs:
         tmp, paths = workspace
         signal = tmp / "x.csv"
         signal.write_text("")
-        code = run("analyze", "--graph-t", paths["gt"], "--graph-g", paths["gg"],
-                   "--signal", signal)
+        code = run("analyze", *paths["graphs"], "--signal", signal)
         assert code == 2
         assert capsys.readouterr().err == f"error: malformed signal file {signal}: it is empty\n"
 
@@ -897,8 +889,7 @@ class TestMalformedInputs:
         "reconstruct --reference": lambda p: ["reconstruct", *p["instance"], "--plan", p["plan"],
                                               "--samples", p["samples"], "--reference", "",
                                               "-o", p["out"]],
-        "analyze --out": lambda p: ["analyze", "--graph-t", p["gt"], "--graph-g", p["gg"],
-                                    "--signal", p["x"], "--out", ""],
+        "analyze --out": lambda p: ["analyze", *p["graphs"], "--signal", p["x"], "--out", ""],
         "verify --out": lambda p: ["verify", *p["instance"], "--out", ""],
         "sample --signal": lambda p: ["sample", "--signal", "", "--plan", p["plan"],
                                       "-o", p["out"]],
@@ -910,13 +901,8 @@ class TestMalformedInputs:
         # as no flag (a skipped check or file, exit 0, or a message naming the
         # flags as missing), and sample --signal "" printed "error:  not found."
         tmp, paths = workspace
-        instance = ["--graph-t", paths["gt"], "--graph-g", paths["gg"],
-                    "--support", paths["support"]]
-        p = {**paths, "instance": instance, "x": tmp / "x.csv", "plan": tmp / "plan.json",
-             "samples": tmp / "samples.csv", "out": tmp / "out.txt"}
-        assert run("gen", "signal", *instance, "-o", p["x"]) == 0
-        assert run("plan", *instance, "-o", p["plan"]) == 0
-        assert run("sample", "--signal", p["x"], "--plan", p["plan"], "-o", p["samples"]) == 0
+        x, plan, samples = pipeline(tmp, paths["instance"], seed=0)
+        p = {**paths, "x": x, "plan": plan, "samples": samples, "out": tmp / "out.txt"}
         capsys.readouterr()
         assert run(*self.EMPTY_PATH[name](p)) == 2
         assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
@@ -930,25 +916,19 @@ class TestDenseFree:
 
     def test_pipeline_builds_no_dense_joint_basis(self, workspace, monkeypatch):
         tmp, paths = workspace
-        p = lambda name: tmp / name
-        graphs = ["--graph-t", paths["gt"], "--graph-g", paths["gg"]]
-        inputs = [*graphs, "--support", paths["support"]]
+        inputs = paths["instance"]
 
         def refuse(*args):
             raise AssertionError("the dense joint basis was built")
 
         monkeypatch.setattr(spectral.JointBasis, "dense", refuse)
-        assert run("gen", "signal", *inputs, "--seed", 9, "-o", p("x.csv")) == 0
-        assert run("plan", *inputs, "-o", p("plan.json")) == 0
-        assert run("sample", "--signal", p("x.csv"), "--plan", p("plan.json"),
-                   "-o", p("samples.csv")) == 0
-        assert run("reconstruct", *inputs, "--plan", p("plan.json"),
-                   "--samples", p("samples.csv"), "--reference", p("x.csv"),
-                   "-o", p("r.csv")) == 0
-        assert run("verify", *inputs, "-o", p("report.json")) == 0
+        x, plan, samples = pipeline(tmp, inputs)
+        assert run("reconstruct", *inputs, "--plan", plan, "--samples", samples,
+                   "--reference", x, "-o", tmp / "r.csv") == 0
+        assert run("verify", *inputs, "-o", tmp / "report.json") == 0
         monkeypatch.undo()
-        assert run("verify", *inputs, "--exhaustive", "-o", p("report.json")) == 0
-        assert run("bench", *inputs, "--repeats", 1, "-o", p("bench.csv")) == 0
+        assert run("verify", *inputs, "--exhaustive", "-o", tmp / "report.json") == 0
+        assert run("bench", *inputs, "--repeats", 1, "-o", tmp / "bench.csv") == 0
 
     def test_bench_plans_from_the_joint_basis(self, workspace, monkeypatch):
         # bench builds the dense matrix for its naive scans alone: the planner
@@ -968,13 +948,8 @@ class TestDenseFree:
         # T = N = 64 with a full 16 x 16 rectangle: K = 256, and the dense
         # joint basis alone would take 4096 * 256 * 8 B = 8.4 MB
         p = lambda name: tmp_path / name
-        inputs = ["--graph-t", p("gt.json"), "--graph-g", p("gg.json"),
-                  "--support", p("support.json")]
-        assert run("gen", "graph", "--type", "cycle", "--n", 64, "-o", p("gt.json")) == 0
-        assert run("gen", "graph", "--type", "er", "--n", 64, "--seed", 3,
-                   "-o", p("gg.json")) == 0
-        assert run("gen", "support", "--t", 64, "--n", 64, "--kt", 16, "--kg", 16,
-                   "--k", 256, "--seed", 3, "-o", p("support.json")) == 0
+        inputs = instance(tmp_path, ("cycle", 64), ("er", 64, "--seed", 3),
+                          ("--kt", 16, "--kg", 16, "--k", 256, "--seed", 3))
         assert run("gen", "signal", *inputs, "--seed", 3, "-o", p("x.csv")) == 0
         dense = 64 * 64 * 256 * 8
 
@@ -1173,13 +1148,7 @@ class TestVerify:
     @staticmethod
     def sparse_instance(tmp_path):
         """3-cycle x 3-path files with the support pairs (0,0), (1,2)."""
-        gt, gg = tmp_path / "gt.json", tmp_path / "gg.json"
-        sup = tmp_path / "support.json"
-        assert run("gen", "graph", "--type", "cycle", "--n", 3, "-o", gt) == 0
-        assert run("gen", "graph", "--type", "path", "--n", 3, "-o", gg) == 0
-        assert run("gen", "support", "--t", 3, "--n", 3, "--pairs", "0,0;1,2",
-                   "-o", sup) == 0
-        return ["--graph-t", gt, "--graph-g", gg, "--support", sup]
+        return instance(tmp_path, ("cycle", 3), ("path", 3), "0,0;1,2")
 
     def test_exhaustive_sparse_support_not_a_violation(self, tmp_path):
         # Two samples in one time slot qualify for pairs (0,0), (1,2): fewer
@@ -1197,13 +1166,9 @@ class TestVerify:
         # exactly zero at its middle vertex, computed as round-off, so 16 of
         # the 20 joint basis entries qualify alone. Ranked against its own
         # scale, each round-off entry qualified too.
-        gt, gg = tmp_path / "gt.json", tmp_path / "gg.json"
-        sup, out = tmp_path / "support.json", tmp_path / "report.json"
-        assert run("gen", "graph", "--type", "path", "--n", 5, "-o", gt) == 0
-        assert run("gen", "graph", "--type", "path", "--n", 4, "-o", gg) == 0
-        assert run("gen", "support", "--t", 5, "--n", 4, "--pairs", "1,0", "-o", sup) == 0
-        assert run("verify", "--graph-t", gt, "--graph-g", gg, "--support", sup,
-                   "--exhaustive", "--trials", 10, "-o", out) == 0
+        out = tmp_path / "report.json"
+        inputs = instance(tmp_path, ("path", 5), ("path", 4), "1,0")
+        assert run("verify", *inputs, "--exhaustive", "--trials", 10, "-o", out) == 0
         ex = json.loads(out.read_text())["exhaustive"]
         assert (ex["count_qualified_at_k"], ex["min_qualified_size"]) == (16, 1)
 
@@ -1211,13 +1176,8 @@ class TestVerify:
         # the same instance: the plan {(2, 0)} reads one round-off entry of
         # the basis (1.8e-16). Ranked against its own scale it qualified, and
         # a 0.01 sample reconstructed to entries near 1.7e13 with exit 0
-        gt, gg = tmp_path / "gt.json", tmp_path / "gg.json"
-        sup, plan, samples = (tmp_path / name for name in ("support.json", "plan.json",
-                                                           "samples.csv"))
-        assert run("gen", "graph", "--type", "path", "--n", 5, "-o", gt) == 0
-        assert run("gen", "graph", "--type", "path", "--n", 4, "-o", gg) == 0
-        assert run("gen", "support", "--t", 5, "--n", 4, "--pairs", "1,0", "-o", sup) == 0
-        inputs = ["--graph-t", gt, "--graph-g", gg, "--support", sup]
+        plan, samples = tmp_path / "plan.json", tmp_path / "samples.csv"
+        inputs = instance(tmp_path, ("path", 5), ("path", 4), "1,0")
         plan.write_text(json.dumps({"T": 5, "N": 4, "samples": [[2, 0]]}))
         samples.write_text("2,0,0.01\n")
         out = tmp_path / "recon.csv"
@@ -1249,11 +1209,7 @@ class TestVerify:
         # cells are not pinned: a tie rule that only moves the plan (item 2)
         # need not edit this test, a coverage fix that makes it critical
         # (item 14) must.
-        gt, sup = tmp_path / "gt.json", tmp_path / "support.json"
-        assert run("gen", "graph", "--type", "path", "--n", 4, "-o", gt) == 0
-        assert run("gen", "support", "--t", 4, "--n", 4, "--pairs", "1,1;2,2;3,3",
-                   "-o", sup) == 0
-        inputs = ["--graph-t", gt, "--graph-g", gt, "--support", sup]
+        inputs = instance(tmp_path, ("path", 4), ("path", 4), "1,1;2,2;3,3")
         capsys.readouterr()
         assert run("plan", *inputs, "-o", tmp_path / "plan.json") == 0
         assert "|S|=3 |S_T|=2 |S_G|=3 critical=False" in capsys.readouterr().out
@@ -1339,15 +1295,10 @@ class TestBench:
 
     def test_prints_each_rows_t_and_n(self, tmp_path, capsys):
         # a 4-cycle x 5-path instance used to print T=N=4 beside the CSV row 4,5,...
-        p = {name: tmp_path / f"{name}.json" for name in ("gt", "gg", "support")}
-        assert run("gen", "graph", "--type", "cycle", "--n", 4, "-o", p["gt"]) == 0
-        assert run("gen", "graph", "--type", "path", "--n", 5, "-o", p["gg"]) == 0
-        assert run("gen", "support", "--t", 4, "--n", 5, "--pairs", "1,1;1,2;2,2",
-                   "-o", p["support"]) == 0
+        inputs = instance(tmp_path, ("cycle", 4), ("path", 5), "1,1;1,2;2,2")
         out = tmp_path / "bench.csv"
         capsys.readouterr()
-        assert run("bench", "--graph-t", p["gt"], "--graph-g", p["gg"], "--support",
-                   p["support"], "--repeats", 1, "-o", out) == 0
+        assert run("bench", *inputs, "--repeats", 1, "-o", out) == 0
         assert capsys.readouterr().out.startswith("T=4 N=5 K=3 samples 3 vs ")
         assert out.read_text().splitlines()[1].startswith("4,5,")
 

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import jtvsampling
+from code_lines import code_lines
 from jtvsampling import Graph, SamplingPlan, SpectralSupport
 
 
@@ -140,3 +141,14 @@ class TestOneRaiseSite:
                   'def g(m):\n    raise ValueError(f"bad size {m}")\n'
                   'def h(exc):\n    raise ValueError(exc) from exc\n')
         assert self.shared({"a.py": source}) == []
+
+
+def test_code_lines_count_code_alone():
+    # docstrings (lines 1-2 and 7), a blank and a comment-only line do not
+    # count; the signature and the return statement are continued over two
+    # lines each, and each of their lines counts
+    source = ('"""Module docstring,\nover two lines."""\n\n# a comment\n'
+              'def f(a,\n      b):\n    """Docstring."""\n    return a + \\\n'
+              '        b  # trailing comment\n')
+    assert source.count("\n") == 9
+    assert code_lines(source) == 4

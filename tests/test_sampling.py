@@ -328,6 +328,20 @@ class TestRankAgainstBasisScale:
                     with pytest.raises(UnqualifiedPlanError):
                         reconstruct_coefficients(np.ones(support.k), plan, uj, support)
 
+    @pytest.mark.parametrize("exp", [-500, -300, 300, 500])
+    def test_selection_does_not_depend_on_the_basis_size(self, exp):
+        # both factors times 2**exp, joint entries near 2**(2 exp), all normal
+        # floats: the rank cut is relative, and the passes used to square
+        # absolute entries, so every instance lost its rows to underflow
+        # (rank refusals) or warned of overflow
+        for inst in families.random_instances(99, 100, 6, 6):
+            ut_r, ug_r = np.ldexp(inst.ut_r, exp), np.ldexp(inst.ug_r, exp)
+            uj = JointBasis(ut_r, ug_r, inst.support).dense()
+            assert (critical_sampling_set(ut_r, ug_r, uj, inst.support)
+                    == critical_sampling_set(inst.ut_r, inst.ug_r, inst.uj, inst.support))
+            assert separate_sampling(ut_r, ug_r) == separate_sampling(inst.ut_r, inst.ug_r)
+            assert max_lin_indep_rows(uj) == max_lin_indep_rows(inst.uj)
+
 
 def test_structured_er_plans_are_qualified_and_repeatable():
     # the first 300 of the family's 6,000 draws, taken by count; whether a
