@@ -3,6 +3,7 @@
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +41,8 @@ class SpectralSupport:
     """Set of occupied joint frequency pairs (j_t, j_g) on a T x N product graph.
 
     ``k`` counts occupied pairs, ``k_t`` occupied time frequencies and ``k_g``
-    occupied graph frequencies.
+    occupied graph frequencies. The sorted views are computed on first read
+    and kept (``cached_property``), beside the fields.
     """
 
     t_dim: int
@@ -50,15 +52,15 @@ class SpectralSupport:
     def __post_init__(self):
         _check_index_pairs(self, "pairs", "support", "pair", "frequency pair")
 
-    @property
+    @cached_property
     def sorted_pairs(self):
         return tuple(sorted(self.pairs))
 
-    @property
+    @cached_property
     def time_freqs(self):
         return tuple(sorted({jt for jt, _ in self.pairs}))
 
-    @property
+    @cached_property
     def graph_freqs(self):
         return tuple(sorted({jg for _, jg in self.pairs}))
 
@@ -107,12 +109,16 @@ def detect_support(xf_mat: np.ndarray, eps: float = 1e-8) -> SpectralSupport:
     """Occupied pairs of a joint spectrum, thresholded relative to its peak.
 
     ``xf_mat`` rows index graph frequencies and columns time frequencies.
+    ``ValueError`` on a NaN or infinite entry and on a zero spectrum.
     """
     if not np.isfinite(eps):
         raise ValueError(f"threshold eps must be finite, got {eps}")
     if eps <= 0:
         raise ValueError(f"threshold must be positive, got {eps}")
     xf_mat = np.asarray(xf_mat, dtype=float)
+    # a NaN peak or cut, or an infinite one, would keep no pair
+    if not np.isfinite(xf_mat).all():
+        raise ValueError("spectrum has NaN or infinite entries")
     peak = np.max(np.abs(xf_mat)) if xf_mat.size else 0.0
     if peak == 0.0:
         raise ValueError("zero signal has no bandwidth")

@@ -19,7 +19,9 @@ def random_connected_graph(n: int, rng: np.random.Generator, p: float = 0.5) -> 
         for i in range(n):
             for j in range(i + 1, n):
                 if rng.random() < p:
-                    edges.append((i, j, float(rng.uniform(0.5, 1.5))))
+                    # rng.uniform(0.5, 1.5) bit for bit, from the same one
+                    # double of the stream: uniform is low + (high - low) * random()
+                    edges.append((i, j, 0.5 + rng.random()))
         g = Graph(n, edges)
         if g.is_connected():
             return g

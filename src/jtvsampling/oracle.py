@@ -8,6 +8,7 @@ all of them at once, with no SVD, QR or call into ``sampling``.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain, combinations
 from math import comb, prod
 
@@ -97,12 +98,36 @@ class ExhaustiveReport:
     min_proj_g: int = None
 
 
-def _distinct_per_row(labels: np.ndarray, dim: int) -> np.ndarray:
-    """Distinct entries per row of an int matrix whose entries lie below ``dim``,
-    counted in uint8, which holds any count up to ``dim`` <= ``MAX_JOINT_VERTICES``."""
-    seen = np.zeros((len(labels), dim), dtype=bool)
-    seen[np.arange(len(labels))[:, None], labels] = True
-    return seen.sum(axis=1, dtype=np.uint8)
+def _distinct_per_column(labels: np.ndarray) -> np.ndarray:
+    """Distinct entries in each column of an int matrix of at most
+    ``MAX_JOINT_VERTICES`` rows, counted in uint8: an entry counts when it
+    differs from every entry above it. Every temporary is one row long."""
+    counts = np.zeros(labels.shape[1], dtype=np.uint8)
+    for j, row in enumerate(labels):
+        new = np.ones(labels.shape[1], dtype=bool)
+        for above in labels[:j]:
+            new &= row != above
+        counts += new
+    return counts
+
+
+@lru_cache(maxsize=1)
+def _enumeration(t_dim: int, g_dim: int, k: int):
+    """Every k-subset of the T*N joint vertices in lexicographic order, one per
+    column of a ``(k, C(T*N, k))`` uint8 table, which holds every index below
+    ``MAX_JOINT_VERTICES``, with the number of time slots and of vertices each
+    subset touches, in uint8. All three are read-only and cached for one
+    ``(T, N, k)`` at a time, which every call at one instance size asks for.
+    A block of the table's columns indexes its subsets' rows in the order
+    ``elimination_rank`` lays them out."""
+    nt = t_dim * g_dim
+    table = np.fromiter(chain.from_iterable(combinations(_INDICES[:nt], k)),
+                        dtype=np.uint8, count=comb(nt, k) * k).reshape(-1, k).T.copy()
+    cached = (table, _distinct_per_column(table // g_dim),
+              _distinct_per_column(table % g_dim))
+    for array in cached:
+        array.flags.writeable = False
+    return cached
 
 
 def _check_enumerable(nt: int):
@@ -127,11 +152,15 @@ def exhaustive_check(uj: np.ndarray, support: SpectralSupport) -> ExhaustiveRepo
     vertices touched by any qualified K-set; they may lie below K_T / K_G when
     the support is sparser than its K_T x K_G rectangle, and above the floors,
     which are necessary but not always reached.
-    All K-subsets are held in one uint8 table in lexicographic order, ranked
-    ``BLOCK`` rows per stacked call, so ``violations`` lists them in
-    enumeration order. At the enumeration limit (20 joint vertices, K = 10)
-    the table is C(20, 10) x 10 bytes, 1.8 MB; the traced peak grows with the
-    qualified K-sets, to 8.5 MB when every one qualifies.
+    All K-subsets are held in one cached uint8 table in lexicographic order,
+    beside the time slots and vertices each one touches, and are ranked
+    ``BLOCK`` subsets per stacked call, so ``violations`` lists them in
+    enumeration order. A block is gathered from ``uj.T`` straight into the
+    (columns, rows, subsets) layout that ``elimination_rank`` works in, so its
+    copy there is a plain one. At the enumeration limit (20 joint vertices,
+    K = 10) the cache is C(20, 10) x 12 bytes, 2.2 MB; the traced peak of the
+    call that builds it is 4.4 MB, and of a call that finds it cached at most
+    2.2 MB, reached when every K-set qualifies.
     """
     nt = support.t_dim * support.g_dim
     k = support.k
@@ -139,22 +168,24 @@ def exhaustive_check(uj: np.ndarray, support: SpectralSupport) -> ExhaustiveRepo
     uj = _check_joint(uj, support)
     scale = _max_abs(uj)
 
-    # uint8 holds every index below MAX_JOINT_VERTICES
-    table = np.fromiter(chain.from_iterable(combinations(_INDICES[:nt], k)),
-                        dtype=np.uint8, count=comb(nt, k) * k).reshape(-1, k)
+    table, slots, vertices = _enumeration(support.t_dim, support.g_dim, k)
+    # taking a (k, count) block of row indices from uj's transpose gives a
+    # contiguous (K, k, count) array: the block's subset matrices with the
+    # stack axis innermost, as elimination_rank lays them out; its transpose
+    # is their (count, k, K) stack
+    ujt = np.ascontiguousarray(uj.T)
     qualified = np.concatenate([
-        elimination_rank(uj[table[first:first + BLOCK]], scale=scale) == k
-        for first in range(0, len(table), BLOCK)
+        elimination_rank(ujt.take(table[:, first:first + BLOCK], axis=1).transpose(2, 1, 0),
+                         scale=scale) == k
+        for first in range(0, table.shape[1], BLOCK)
     ])
-    subsets = table[qualified]
-    n_t = _distinct_per_row(subsets // support.g_dim, support.t_dim)
-    n_g = _distinct_per_row(subsets % support.g_dim, support.g_dim)
+    n_t, n_g = slots[qualified], vertices[qualified]
     bad = (n_t < support.floor_t) | (n_g < support.floor_g)
-    found = len(subsets) > 0
+    found = len(n_t) > 0
     return ExhaustiveReport(
         min_qualified_size=k if found else None,
-        count_qualified_at_k=len(subsets),
-        violations=tuple(map(tuple, subsets[bad].tolist())),
+        count_qualified_at_k=len(n_t),
+        violations=tuple(map(tuple, table[:, np.flatnonzero(qualified)[bad]].T.tolist())),
         exists_critical_set=bool(np.any((n_t == support.k_t) & (n_g == support.k_g))),
         min_proj_t=int(n_t.min()) if found else None,
         min_proj_g=int(n_g.min()) if found else None,

@@ -9,6 +9,7 @@ as independent by qualify's rule: a residual above ``RANK_TOL`` x its basis's ma
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +33,8 @@ class IllConditionedError(RuntimeError):
 
 @dataclass(frozen=True)
 class SamplingPlan:
-    """Set of (time, vertex) sample points on a T x N product graph."""
+    """Set of (time, vertex) sample points on a T x N product graph. The
+    sorted views are computed on first read and kept (``cached_property``)."""
 
     t_dim: int
     g_dim: int
@@ -41,16 +43,16 @@ class SamplingPlan:
     def __post_init__(self):
         _check_index_pairs(self, "samples", "sampling plan", "sample", "sample")
 
-    @property
+    @cached_property
     def sorted_samples(self):
         return tuple(sorted(self.samples))
 
-    @property
+    @cached_property
     def proj_t(self):
         """Time slots touched by at least one sample."""
         return tuple(sorted({t for t, _ in self.samples}))
 
-    @property
+    @cached_property
     def proj_g(self):
         """Vertices touched by at least one sample."""
         return tuple(sorted({v for _, v in self.samples}))

@@ -99,8 +99,9 @@ class JointBasis:
     frequencies. The N*T x K matrix is formed only by :meth:`dense`; its max
     |entry|, :attr:`scale`, is what a sampled block's rank is measured
     against. Raises ``ValueError`` unless ``ut_r`` is (T, K_T) and ``ug_r``
-    is (N, K_G), on a NaN or infinite factor entry, and on finite factors
-    whose joint basis has an entry past the float range.
+    is (N, K_G), on a NaN or infinite factor entry, on finite factors whose
+    joint basis has an entry past the float range, and on factors whose joint
+    basis is not zero but has its max |entry| below the smallest normal float.
     """
 
     def __init__(self, ut_r: np.ndarray, ug_r: np.ndarray, support):
@@ -125,6 +126,11 @@ class JointBasis:
         if np.isinf(tops).any() and np.isfinite(top_t).all() and np.isfinite(top_g).all():
             raise ValueError("joint basis entries overflow the float range")
         self.scale = _max_abs(tops)
+        # a max |entry| below the normal range, of a joint basis that is not
+        # exactly zero, has lost its digits or rounded to zero
+        if (self.scale < np.finfo(float).tiny
+                and ((top_t[self._ti] > 0) & (top_g[self._gi] > 0)).any()):
+            raise ValueError("joint basis entries underflow the float range")
 
     def dense(self) -> np.ndarray:
         """The (T*N, K) matrix itself, in one broadcast: column k is the

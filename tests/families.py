@@ -14,9 +14,13 @@ structured family with ER factors, ``bench.prepare_case`` at n = 16 to 128
 (seeds 0-2) and the README walkthrough, and prints one line per
 family: the count, the plans that are not critical, the rank refusals, the
 worst condition number of a sampled block, and a SHA-256 of every plan's
-sorted samples, rank and verdicts in draw order. It runs the BLAS on one
-thread unless the environment sets another count. A change that should not
-move a plan should not move a digest.
+sorted samples, rank and verdicts in draw order. A last line pins the oracle:
+the ``ExhaustiveReport`` and the ``check_monotonicity(uj, 200,
+default_rng(j))`` verdict of the j-th draw of ``oracle_tiny(3, 97)`` and then
+of ``structured(2024, 60, k_max=6)`` (T x N <= 16 joint vertices, inside the
+enumeration limit), with their SHA-256. It runs the BLAS on one thread unless
+the environment sets another count. A change that should not move a plan or
+an oracle report should not move a digest.
 """
 
 import os
@@ -157,7 +161,7 @@ def random_support_instances(rng, count):
 if __name__ == "__main__":
     import hashlib
 
-    from jtvsampling import bench, critical_sampling_set
+    from jtvsampling import bench, check_monotonicity, critical_sampling_set, exhaustive_check
     from jtvsampling.generate import random_coeffs
     from jtvsampling.sampling import RankDeficiencyError
 
@@ -211,3 +215,14 @@ if __name__ == "__main__":
         digest = hashlib.sha256(repr(records).encode()).hexdigest()
         print(f"{name}: count={len(records)} non_critical={non_critical} "
               f"rank_refused={refused} worst_cond={worst_cond:.4g} sha256={digest}")
+
+    oracle_draws = [*((inst.uj, inst.support) for inst in oracle_tiny(3, 97)),
+                    *((basis.dense(), basis.support) for basis in structured(2024, 60, k_max=6))]
+    records = [(exhaustive_check(uj, support),
+                check_monotonicity(uj, 200, np.random.default_rng(j)))
+               for j, (uj, support) in enumerate(oracle_draws)]
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    print(f"oracle reports, oracle-tiny seed 3 x97 + structured seed 2024 x60 K<=6: "
+          f"count={len(records)} "
+          f"violations={sum(len(report.violations) for report, _ in records)} "
+          f"non_monotone={sum(not monotone for _, monotone in records)} sha256={digest}")

@@ -161,6 +161,19 @@ class TestDetectSupport:
         with pytest.raises(ValueError, match="eps must be finite"):
             detect_support(np.eye(2), eps=eps)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "all nan"])
+    def test_non_finite_spectrum_rejected(self, bad):
+        # a NaN or infinite peak keeps no pair, so each was refused as an
+        # empty support
+        xf = np.eye(3)
+        if bad == "all nan":
+            xf[:] = np.nan
+        else:
+            xf[1, 2] = float(bad)
+        with pytest.raises(ValueError) as exc:
+            detect_support(xf)
+        assert str(exc.value) == "spectrum has NaN or infinite entries"
+
     def test_threshold_is_relative(self):
         xf = np.array([[1.0, 0.0], [0.0, 1e-12]])
         assert detect_support(1e9 * xf).pairs == detect_support(xf).pairs

@@ -290,6 +290,20 @@ class TestSharedInputs:
         assert capsys.readouterr().err == "error: joint basis entries overflow the float range\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["gen signal", "plan", "reconstruct", "verify", "bench"])
+    def test_underflowing_basis_file_exit_2(self, workspace, ref, capsys, name):
+        # each factor times 1e-170: joint entries near 1e-340, below the float
+        # range. plan used to exit 3 with a rank-0 verdict for step 3
+        tmp, paths = workspace
+        basis = tmp / "small_basis.json"
+        fileio.save_basis_pair(ref.ut_r * 1e-170, ref.ug_r * 1e-170, basis)
+        argv = self.basis_command(name, tmp, paths, basis)
+        capsys.readouterr()
+        out = tmp / "out.txt"
+        assert run(*argv, "-o", out) == 2
+        assert capsys.readouterr().err == "error: joint basis entries underflow the float range\n"
+        assert not out.exists()
+
     SEEDED = {
         "gen graph": lambda p: ["gen", "graph", "--type", "er", "--n", 6],
         "gen support": lambda p: ["gen", "support", "--t", 4, "--n", 4, "--kt", 2, "--kg", 2],

@@ -121,6 +121,25 @@ class TestRandomConnectedGraph:
             random_connected_graph(4, rng, p=p)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("n", [2, 5, 32])
+    def test_weights_match_uniform_draws(self, n):
+        # a weight is drawn as 0.5 + random(), which is uniform(0.5, 1.5) bit
+        # for bit from the same double of the stream; the reference is the
+        # rejection loop drawn with uniform itself
+        def reference(rng):
+            while True:
+                edges = [(i, j, float(rng.uniform(0.5, 1.5)))
+                         for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+                g = Graph(n, edges)
+                if g.is_connected():
+                    return g
+
+        for seed in range(50):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            g = random_connected_graph(n, rng)
+            assert g == reference(ref_rng)
+            assert rng.random() == ref_rng.random()
+
 
 class TestPathStar:
     def test_path_graph(self):

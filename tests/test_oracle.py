@@ -173,6 +173,23 @@ class TestEliminationRank:
             elimination_rank(mat)
             assert np.array_equal(np.asarray(mat), before)
 
+    def test_transposed_view_of_a_contiguous_stack(self):
+        # the oracle gathers each block as one (cols, rows, count) array and
+        # passes its (count, rows, cols) view: the ranks are those of a
+        # C-ordered copy, with or without a scale, and the array is untouched
+        rng = np.random.default_rng(46)
+        mats = np.array([rng.normal(size=(5, r)) @ rng.normal(size=(r, 5))
+                         for r in rng.integers(0, 6, size=70)])
+        base = np.ascontiguousarray(mats.transpose(2, 1, 0))
+        before = base.copy()
+        view = base.transpose(2, 1, 0)
+        assert not view.flags.c_contiguous
+        for scale in (None, 7.0):
+            expected = elimination_rank(np.ascontiguousarray(view), scale=scale)
+            assert elimination_rank(view, scale=scale).tolist() == expected.tolist()
+        assert len(set(expected.tolist())) > 2
+        assert np.array_equal(base, before)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_rejected(self, bad):
         # NaN never passes the pivot test, so without the check a NaN matrix
@@ -333,6 +350,34 @@ class TestExhaustiveCheck:
             min_proj_g=min(proj_g, default=None),
         )
 
+    def test_table_cache_across_sizes(self):
+        # the K-subset table is cached for one (T, N, K) at a time: instances
+        # of three sizes, interleaved so that each call evicts the last
+        # table, each give the per-subset reference report
+        rng = np.random.default_rng(93)
+        draws = [families.instance(3, 4, rng, k_t=2, k_g=2, k=4),
+                 families.instance(3, 3, rng, k_t=2, k_g=2, k=3),
+                 families.instance(4, 4, rng, k_t=2, k_g=3, k=4)]
+        for j in (0, 1, 0, 2, 1, 2):
+            support, uj = draws[j].support, draws[j].uj
+            assert exhaustive_check(uj, support) == self.reference_report(uj, support)
+
+    def test_cached_enumeration_is_read_only(self):
+        # one table and its slot and vertex counts are handed to every call
+        # of their size, so none may write them
+        cached = oracle._enumeration(2, 3, 3)
+        table, slots, vertices = cached
+        subsets = list(combinations(range(6), 3))
+        assert table.dtype == slots.dtype == vertices.dtype == np.uint8
+        assert table.T.tolist() == [list(s) for s in subsets]
+        assert slots.tolist() == [len({i // 3 for i in s}) for s in subsets]
+        assert vertices.tolist() == [len({i % 3 for i in s}) for s in subsets]
+        assert oracle._enumeration(2, 3, 3) is cached
+        for array in cached:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[..., 0] = 1
+
     def test_never_ranks_subsets_smaller_than_k(self, monkeypatch):
         # a stack of fewer than K rows can never reach rank K, and a larger
         # one decides nothing that its K-row subsets do not, so every stacked
@@ -372,13 +417,15 @@ class TestExhaustiveCheck:
     def test_memory_at_the_size_limit(self, monkeypatch):
         # T*N = 20, K = 10 is the worst case: with every stacked matrix ranked
         # at its row count, all C(20, 10) = 184,756 K-sets qualify and every
-        # report field is computed over all of them. Measured: a traced peak
-        # of 8.5 MB with the uint8 table; an intp table alone is 14.8 MB.
+        # report field is computed over all of them. The cache is cleared so
+        # the call builds the uint8 tables it reads. Measured: a traced peak of
+        # 4.4 MB; an intp table alone is 14.8 MB.
         support = SpectralSupport(t_dim=4, g_dim=5, pairs=frozenset(
             (jt, jg) for jt in range(3) for jg in range(4) if (jt, jg) not in {(2, 2), (2, 3)}))
         uj = np.random.default_rng(20).normal(size=(20, 10))
         monkeypatch.setattr(oracle, "elimination_rank",
                             lambda mat, scale=None: np.full(mat.shape[:-2], mat.shape[-2]))
+        oracle._enumeration.cache_clear()
         tracemalloc.start()
         try:
             report = exhaustive_check(uj, support)

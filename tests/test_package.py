@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,27 @@ def test_json_shaped_input_is_made_canonical(parsed, canonical):
     # an unconverted list would make the object unhashable
     assert parsed == canonical
     assert hash(parsed) == hash(canonical)
+
+
+@pytest.mark.parametrize("cls, attr, views", [
+    (SpectralSupport, "pairs", ("sorted_pairs", "time_freqs", "graph_freqs")),
+    (SamplingPlan, "samples", ("sorted_samples", "proj_t", "proj_g")),
+])
+def test_views_computed_once_from_the_fields(cls, attr, views):
+    # the sorted pairs and both projections are computed once and kept beside
+    # the fields: every read returns the same tuple, the dataclass methods
+    # read the fields alone, and replace() builds the views anew
+    obj = cls(4, 5, [[3, 1], [0, 4], [3, 0]])
+    assert [getattr(obj, v) for v in views] == [((0, 4), (3, 0), (3, 1)), (0, 3), (0, 1, 4)]
+    assert all(getattr(obj, v) is getattr(obj, v) for v in views)
+    assert [f.name for f in dataclasses.fields(obj)] == ["t_dim", "g_dim", attr]
+    assert dataclasses.asdict(obj) == {"t_dim": 4, "g_dim": 5, attr: getattr(obj, attr)}
+    assert repr(obj) == f"{cls.__name__}(t_dim=4, g_dim=5, {attr}={getattr(obj, attr)!r})"
+    assert hash(obj) == hash((4, 5, getattr(obj, attr)))
+    assert obj == cls(4, 5, frozenset({(0, 4), (3, 0), (3, 1)}))
+    other = dataclasses.replace(obj, **{attr: [(2, 2)]})
+    assert [getattr(other, v) for v in views] == [((2, 2),), (2,), (2,)]
+    assert [getattr(obj, v)[0] for v in views] == [(0, 4), 0, 0]
 
 
 class TestOneOwner:

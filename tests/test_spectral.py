@@ -283,3 +283,20 @@ class TestJointBasis:
             ug_r = ug_r[:-1] if cut.endswith("rows") else ug_r[:, :-1]
         with pytest.raises(ValueError, match="bandwidths"):
             JointBasis(ut_r, ug_r, ref.support)
+
+    @pytest.mark.parametrize("factor", [1e-170, 1e-160])
+    def test_underflowing_factors_rejected(self, ref, factor):
+        # joint entries near 1e-340 round to zero and near 1e-320 to
+        # subnormals: refused as an input error, not planned as rank 0 or on
+        # digits the floats no longer hold
+        with pytest.raises(ValueError) as exc:
+            JointBasis(ref.ut_r * factor, ref.ug_r * factor, ref.support)
+        assert str(exc.value) == "joint basis entries underflow the float range"
+
+    def test_small_or_zero_joint_basis_kept(self, ref):
+        # joint entries just above the smallest normal float, and an exactly
+        # zero joint basis, are not an underflow
+        tiny = np.finfo(float).tiny
+        basis = JointBasis(np.ldexp(ref.ut_r, -500), np.ldexp(ref.ug_r, -500), ref.support)
+        assert tiny <= basis.scale == np.abs(basis.dense()).max()
+        assert JointBasis(ref.ut_r * 0.0, ref.ug_r, ref.support).scale == 0.0
