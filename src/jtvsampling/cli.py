@@ -63,10 +63,16 @@ def _refuse(args, dests, context):
 
 def _seed(args):
     """``--seed``, else ``$JTV_SEED``, else 0; read only where a generator is
-    seeded, so a command that draws nothing ignores ``$JTV_SEED``."""
+    seeded, so a command that draws nothing ignores ``$JTV_SEED``. A negative
+    seed is refused naming its source."""
     if args.seed is not None:
-        return args.seed
-    return _int(os.environ.get(SEED_ENV, "0"), f"${SEED_ENV}")
+        seed, source = args.seed, "--seed"
+    else:
+        source = f"${SEED_ENV}"
+        seed = _int(os.environ.get(SEED_ENV, "0"), source)
+    if seed < 0:
+        raise ValueError(f"{source} value {seed} is negative")
+    return seed
 
 
 def _load_restricted(args):

@@ -94,7 +94,11 @@ class Graph:
 def laplacian(g: Graph) -> np.ndarray:
     """Combinatorial Laplacian D - W as a dense symmetric matrix."""
     w = g.adjacency()
-    return np.diag(w.sum(axis=1)) - w
+    with np.errstate(over="ignore"):
+        degrees = w.sum(axis=1)
+    if not np.isfinite(degrees).all():
+        raise ValueError("vertex degrees overflow the float range")
+    return np.diag(degrees) - w
 
 
 def cycle_graph(t: int) -> Graph:

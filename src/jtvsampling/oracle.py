@@ -22,11 +22,6 @@ MAX_JOINT_VERTICES = 20
 # per-call numpy overhead, small enough to keep the stack and its temporaries
 # well under a megabyte.
 BLOCK = 512
-# Shared pool for itertools.combinations: with a pool built per call, such as
-# range(nt), CPython 3.11's max RSS grows by about 0.5 MB over the first ~2,000
-# calls before it levels off, enough to raise the oracle-tiny benchmark's peak
-# RSS by 1.3 %.
-_INDICES = tuple(range(MAX_JOINT_VERTICES))
 
 
 def elimination_rank(mat: np.ndarray, scale: float = None):
@@ -121,7 +116,7 @@ def _enumeration(t_dim: int, g_dim: int, k: int):
     A block of the table's columns indexes its subsets' rows in the order
     ``elimination_rank`` lays them out."""
     nt = t_dim * g_dim
-    table = np.fromiter(chain.from_iterable(combinations(_INDICES[:nt], k)),
+    table = np.fromiter(chain.from_iterable(combinations(range(nt), k)),
                         dtype=np.uint8, count=comb(nt, k) * k).reshape(-1, k).T.copy()
     cached = (table, _distinct_per_column(table // g_dim),
               _distinct_per_column(table % g_dim))

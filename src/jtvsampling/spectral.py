@@ -5,6 +5,7 @@ Eigenbases come from LAPACK's symmetric solver (``numpy.linalg.eigh``) under a
 fixed sign convention, so one install always returns the same basis.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +13,8 @@ import numpy as np
 # Singular values, pivots and planner residuals at most RANK_TOL times their
 # basis's max |entry| count as zero: one rule for planner, solve and oracle.
 RANK_TOL = 1e-10
+
+_HALF_MAX = np.finfo(float).max / 2
 
 
 @dataclass(frozen=True)
@@ -39,11 +42,20 @@ def eig_sym(mat: np.ndarray) -> EigenBasis:
     n = a.shape[0]
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
+    mag = np.abs(a)
     # np.allclose(a, a.T, atol=1e-10) written out: the same test without its
     # per-call overhead, which dominates on the small matrices set-ups decompose
-    if not (np.abs(a - a.T) <= 1e-10 + 1e-5 * np.abs(a.T)).all():
+    if not (np.abs(a - a.T) <= 1e-10 + 1e-5 * mag.T).all():
         raise ValueError("matrix is not symmetric")
-    lam, v = np.linalg.eigh((a + a.T) / 2.0)
+    # a + a.T can overflow only where an entry passes half the float range;
+    # halving each term first cannot, but it rounds subnormal entries, so it is
+    # taken only there and the basis is otherwise the plain sum's, bit for bit
+    sym = (a + a.T) / 2.0 if mag.max() <= _HALF_MAX else a / 2.0 + a.T / 2.0
+    lam, v = np.linalg.eigh(sym)
+    # eigh scales a large matrix down and its eigenvalues back up, so one past
+    # the float range comes out infinite, at an end of the ascending list
+    if not (math.isfinite(lam[0]) and math.isfinite(lam[-1])):
+        raise ValueError("eigenvalues overflow the float range")
     v *= np.sign(v[np.argmax(np.abs(v), axis=0), np.arange(n)])
     return EigenBasis(vectors=v, values=lam)
 

@@ -78,6 +78,12 @@ class TestLaplacian:
         g = Graph(2, ((0, 1, 3.0),))
         assert np.array_equal(laplacian(g), np.array([[3.0, -3.0], [-3.0, 3.0]]))
 
+    def test_degrees_past_the_float_range_rejected(self):
+        # vertex 0's degree, 2e308, used to overflow to inf with a warning, and
+        # eig_sym to refuse the Laplacian for entries the graph does not hold
+        with pytest.raises(ValueError, match="^vertex degrees overflow the float range$"):
+            laplacian(Graph(3, ((0, 1, 1e308), (0, 2, 1e308))))
+
     def test_laplacian_invariants(self):
         for g in families.random_graphs(1, 50, max_n=6):
             lap = laplacian(g)

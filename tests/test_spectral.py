@@ -3,6 +3,7 @@ import pytest
 
 import families
 from jtvsampling import (
+    Graph,
     JointBasis,
     SpectralSupport,
     cycle_graph,
@@ -111,6 +112,46 @@ class TestEigSym:
         assert abs(basis.values[0]) < 1e-10
         first = basis.vectors[:, 0]
         assert np.all(first > 0) or np.all(first < 0)
+
+    def test_large_finite_spectrum_decomposed(self):
+        # an 11-vertex star at weight 1e307: finite degrees (up to 1e308) and
+        # eigenvalues (0, 1e307 nine times, 1.1e308), but a + a.T is not
+        # finite: eigh used to get infinities, warn, and return NaN eigenvalues
+        lap = laplacian(Graph(11, [(0, v, 1e307) for v in range(1, 11)]))
+        basis = eig_sym(lap)
+        expected = 1e307 * np.array([0.0] + [1.0] * 9 + [11.0])
+        assert np.allclose(basis.values, expected, rtol=1e-12, atol=1e296)
+        rebuilt = basis.vectors @ np.diag(basis.values) @ basis.vectors.T
+        assert np.max(np.abs(lap - rebuilt)) < 1e-12 * 1e308
+        assert np.max(np.abs(basis.vectors.T @ basis.vectors - np.eye(11))) < 1e-12
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["top", "bottom"])
+    def test_eigenvalues_past_the_float_range_rejected(self, sign):
+        # the 3-path at weight 8e307 has finite entries, and eigenvalues 0,
+        # 8e307 and 2.4e308: eigh used to warn and return NaN eigenvalues
+        lap = laplacian(Graph(3, ((0, 1, 8e307), (1, 2, 8e307))))
+        with pytest.raises(ValueError, match="^eigenvalues overflow the float range$"):
+            eig_sym(sign * lap)
+
+    def test_plain_symmetrization_bit_for_bit(self):
+        # eig_sym halves the terms of a + a.T first only where the sum would
+        # overflow: on the families.basis_pair draws, and on a path with a
+        # subnormal weight, which halving first would round, its basis is the
+        # one of (a + a.T) / 2, bit for bit
+        def plain(a):
+            lam, v = np.linalg.eigh((a + a.T) / 2.0)
+            return lam, v * np.sign(v[np.argmax(np.abs(v), axis=0), np.arange(len(a))])
+
+        rng, replay = np.random.default_rng(6), np.random.default_rng(6)
+        laps = [laplacian(Graph(3, ((0, 1, 5e-324), (1, 2, 1.0))))]
+        bases = [eig_sym(laps[0])]
+        for t_dim, g_dim in [(3, 2), (4, 5), (5, 8), (8, 6), (12, 16)]:
+            bases.extend(families.basis_pair(t_dim, g_dim, rng))
+            laps += [laplacian(cycle_graph(t_dim)),
+                     laplacian(random_connected_graph(g_dim, replay))]
+        for lap, basis in zip(laps, bases):
+            lam, v = plain(lap)
+            assert np.array_equal(basis.values, lam) and np.array_equal(basis.vectors, v)
 
 
 class TestJft:
